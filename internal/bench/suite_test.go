@@ -71,11 +71,36 @@ func walk(n, events int, seed int64) (initial []float64, moves []struct {
 	return initial, moves
 }
 
+// planarWalk is walk's 2-D twin: a deterministic planar random walk.
+func planarWalk(n, events int, seed int64) (initial []filter.Point, moves []struct {
+	id int
+	p  filter.Point
+}) {
+	rng := sim.NewRNG(seed)
+	initial = make([]filter.Point, n)
+	for i := range initial {
+		initial[i] = filter.Point{X: rng.Uniform(0, 1000), Y: rng.Uniform(0, 1000)}
+	}
+	cur := append([]filter.Point(nil), initial...)
+	moves = make([]struct {
+		id int
+		p  filter.Point
+	}, events)
+	for i := range moves {
+		id := rng.Intn(n)
+		cur[id].X += rng.Normal(0, 20)
+		cur[id].Y += rng.Normal(0, 20)
+		moves[i].id, moves[i].p = id, cur[id]
+	}
+	return initial, moves
+}
+
 // BenchmarkProtocolStep measures the single-tenant protocol step — the
 // paper's server loop: deliver one update, run the hosted protocol's
-// maintenance phase, account the messages — at steady state for the two
-// protocol families the multi-tenant runtime hosts. The warmed path must
-// not allocate: the regression gate pins allocs/op at the committed
+// maintenance phase, account the messages — at steady state for the range
+// protocol the multi-tenant runtime hosts most and for every consumer of
+// the shared lazy ranker (RTP, FT-RP, RTP2D, FT-RP2D). The warmed path
+// must not allocate: the regression gate pins allocs/op at the committed
 // baseline (0).
 func BenchmarkProtocolStep(b *testing.B) {
 	const (
@@ -96,6 +121,10 @@ func BenchmarkProtocolStep(b *testing.B) {
 		{"rtp", func(h server.Host) server.Protocol {
 			return core.NewRTP(h, query.At(500), core.RankTolerance{K: 20, R: 5})
 		}},
+		{"ft-rp", func(h server.Host) server.Protocol {
+			return core.NewFTRP(h, query.At(500), 50, core.DefaultFTRPConfig(
+				core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}))
+		}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -109,6 +138,33 @@ func BenchmarkProtocolStep(b *testing.B) {
 				}
 			}
 			deliver() // warm protocol scratch and the pending queue
+			measure(b, "protocol-step/"+tc.name, events, true, deliver)
+		})
+	}
+	q := filter.Point{X: 500, Y: 500}
+	spatial := []struct {
+		name  string
+		build func(h server.SpatialHost) server.SpatialProtocol
+	}{
+		{"rtp2d", func(h server.SpatialHost) server.SpatialProtocol {
+			return multidim.NewRTP2D(h, q, core.RankTolerance{K: 20, R: 5})
+		}},
+		{"ft-rp2d", func(h server.SpatialHost) server.SpatialProtocol {
+			return multidim.NewFTRP2D(h, q, 50, core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2})
+		}},
+	}
+	for _, tc := range spatial {
+		b.Run(tc.name, func(b *testing.B) {
+			initial, moves := planarWalk(n, events, 11)
+			c := server.NewSpatialCluster(initial)
+			c.SetProtocol(tc.build(c))
+			c.Initialize()
+			deliver := func() {
+				for _, mv := range moves {
+					c.Deliver(mv.id, mv.p)
+				}
+			}
+			deliver()
 			measure(b, "protocol-step/"+tc.name, events, true, deliver)
 		})
 	}
@@ -647,7 +703,7 @@ func benchSpatialBatches(specs []runtime.TenantSpec, perTenant, batchSize int) [
 }
 
 // BenchmarkSpatialIngest measures the spatial ingest hot path — router →
-// shard loop → SpatialCluster → 2-D protocol (rank table sort, disk
+// shard loop → SpatialCluster → 2-D protocol (lazy ranking, disk
 // installs) → accounting — at steady state on a warmed node, per the shard
 // counts the regression gate tracks. One op ingests and drains the whole
 // pre-generated planar event set; the warmed path must not allocate.

@@ -6,6 +6,7 @@ import (
 
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
@@ -65,7 +66,7 @@ type FTRP struct {
 	// Reusable scratch for the rebuild fan-out (ranking, probe table,
 	// selection keys), so window-triggered recomputations on the
 	// maintenance path allocate nothing once warm.
-	rk      ranker
+	rk      rankorder.Order
 	valsBuf []float64
 	keyBuf  []float64
 	ks      keyedSorter
@@ -163,13 +164,13 @@ func (p *FTRP) Initialize() {
 // answer to those k streams, and re-assigns silent filters with budgets
 // floor(k·ρ⁺) and floor(k·ρ⁻).
 func (p *FTRP) rebuild() {
-	sorted := p.rk.rank(p.c, p.q)
+	rankByTable(&p.rk, p.c, p.q)
+	sorted := p.rk.Prefix(p.k + 1)
 	p.ans.clear()
 	p.fp.clear()
 	p.fn.clear()
 	p.count = 0
 	inside := sorted[:p.k]
-	outside := sorted[p.k:]
 	for _, id := range inside {
 		p.ans.add(id)
 	}
@@ -178,17 +179,15 @@ func (p *FTRP) rebuild() {
 	p.d = midpoint(inner, outer)
 	p.cur = p.q.BallConstraint(p.d)
 
-	nPlus := p.nPlusBudget
-	nMinus := p.nMinusBudget
 	// Boundary-nearest for a ball region: inside streams closest to the
 	// boundary have the largest distance from q; outside streams closest to
 	// the boundary have the smallest distance beyond it. The picks reorder
-	// sorted[:k] and sorted[k:] in place; the ranking is not consulted
-	// again below.
-	for _, id := range p.pickSilent(inside, nPlus, true) {
+	// the settled ranks in place, inside first; the outside pick only reads
+	// and settles ranks past k, and no rank is consulted again below.
+	for _, id := range p.pickSilent(inside, p.nPlusBudget, true) {
 		p.fp.add(id)
 	}
-	for _, id := range p.pickSilent(outside, nMinus, false) {
+	for _, id := range p.pickSilent(p.outsideCandidates(p.nMinusBudget), p.nMinusBudget, false) {
 		p.fn.add(id)
 	}
 
@@ -204,6 +203,39 @@ func (p *FTRP) rebuild() {
 		}
 	}
 	p.Recomputes++
+}
+
+// outsideCandidates returns the ranks past k, in (distance, id) order,
+// from which pickSilent chooses n false-negative holders — as many of
+// them as the choice can depend on, settling no more ranks than that.
+//
+// SelectRandom shuffles the whole candidate slice, so its RNG trajectory
+// needs every rank past k. Boundary-nearest orders candidates by
+// (d − R, id). Rounding keeps d − R monotone in d, so the (distance, id)
+// order lists those keys non-decreasing, but it can map distinct
+// distances to one key, which then breaks by id. The prefix therefore runs
+// past the n-th candidate until the next key is strictly greater than the
+// n-th key: every candidate tied with the n-th key is then in it, and
+// pickSilent's (key, id) sort of the prefix chooses exactly the n a sort of
+// all n−k candidates would. A non-finite R makes every key ±Inf or NaN,
+// none strictly greater than another, so the prefix then runs to the last
+// rank and the pick sees the same slice a full sort would hand it.
+func (p *FTRP) outsideCandidates(n int) []int {
+	total := p.rk.Len()
+	end := total
+	if p.cfg.Selection != SelectRandom {
+		end = min(p.k+n, total)
+		if end > p.k {
+			_, d := p.rk.Rank(end - 1)
+			last := d - p.d
+			for ; end < total; end++ {
+				if _, d := p.rk.Rank(end); d-p.d > last {
+					break
+				}
+			}
+		}
+	}
+	return p.rk.Prefix(end)[p.k:]
 }
 
 // pickSilent selects up to n silent-filter holders from ids (reordering

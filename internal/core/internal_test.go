@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 )
 
@@ -140,13 +141,15 @@ func TestRankTableOrdersByDistanceThenID(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	c.ProbeAll()
-	got := rankTable(c, query.At(25))
+	var o rankorder.Order
+	rankByTable(&o, c, query.At(25))
+	got := o.Prefix(c.N())
 	// dists: id0=15, id1=5, id2=5, id3=5 → order [1 2 3 0]... ids 1,3 share
 	// value 30 (dist 5) and id2 has dist 5 as well: tie broken by id.
 	want := []int{1, 2, 3, 0}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("rankTable = %v, want %v", got, want)
+			t.Fatalf("rankByTable order = %v, want %v", got, want)
 		}
 	}
 }
@@ -156,9 +159,15 @@ func TestRankTableChargesServerOps(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	before := c.Counter().ServerOps
-	rankTable(c, query.Top())
+	var o rankorder.Order
+	rankByTable(&o, c, query.Top())
 	if got := c.Counter().ServerOps - before; got != 7 {
-		t.Fatalf("rankTable charged %d ops, want 7", got)
+		t.Fatalf("rankByTable charged %d ops, want 7", got)
+	}
+	// The charge is the modelled full re-rank, however few ranks are read.
+	o.Prefix(1)
+	if got := c.Counter().ServerOps - before; got != 7 {
+		t.Fatalf("reading a rank charged %d ops, want none", got-7)
 	}
 }
 
@@ -176,8 +185,9 @@ func TestSortByTableDist(t *testing.T) {
 	c.SetProtocol(&nopProto{})
 	c.Initialize()
 	c.ProbeAll()
-	ids := []int{0, 1, 2}
-	sortByTableDist(c, query.At(300), ids)
+	var o rankorder.Order
+	rankIDs(&o, c, query.At(300), []int{0, 1, 2})
+	ids := o.Prefix(3)
 	if !sort.SliceIsSorted(ids, func(a, b int) bool {
 		return tableDist(c, query.At(300), ids[a]) <= tableDist(c, query.At(300), ids[b])
 	}) {

@@ -1,64 +1,35 @@
 package core
 
 import (
-	"sort"
-
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 )
 
-// ranker is reusable scratch for ranking streams by table distance. Each
-// rank-based protocol owns one, so the steady-state rebuild paths sort into
-// long-lived buffers: no table snapshot copy, no closure, no reflect-based
-// swapper — zero allocations once the buffers have grown to the stream
-// count.
-type ranker struct {
-	ids []int
-	ks  keyedSorter
-}
-
-// rank fills the scratch with all stream ids sorted by (distance from q,
-// id) ascending over the server's value table — the "old ranking scores
-// kept by the server" the protocols consult. The returned slice aliases the
-// scratch and is valid until the next ranker call. The pass is charged to
-// the server computation metric.
-func (r *ranker) rank(c server.Host, q query.Center) []int {
+// rankByTable loads every stream's table distance from q into o and
+// heapifies it, so o yields the (distance, id) ranking — the "old ranking
+// scores kept by the server" the protocols consult — lazily, only as far
+// as the caller reads. The pass is charged to the server computation metric
+// as the paper's full re-rank of n streams, however few ranks are read.
+func rankByTable(o *rankorder.Order, c server.Host, q query.Center) {
 	n := c.N()
-	r.ids = r.ids[:0]
-	r.ks.keys = r.ks.keys[:0]
+	o.Reset()
 	for i := 0; i < n; i++ {
 		v, _ := c.Table(i)
-		r.ids = append(r.ids, i)
-		r.ks.keys = append(r.ks.keys, q.Dist(v))
+		o.Add(i, q.Dist(v))
 	}
-	r.ks.ids = r.ids
-	sort.Sort(&r.ks)
-	r.ks.ids = nil
+	o.Init()
 	c.AddServerOps(n)
-	return r.ids
 }
 
-// sortIDs orders ids ascending by (table distance from q, id) in place,
-// reusing the ranker's key buffer.
-func (r *ranker) sortIDs(c server.Host, q query.Center, ids []int) {
-	r.ks.keys = r.ks.keys[:0]
+// rankIDs is rankByTable restricted to ids, charging one server op per id.
+func rankIDs(o *rankorder.Order, c server.Host, q query.Center, ids []int) {
+	o.Reset()
 	for _, id := range ids {
-		r.ks.keys = append(r.ks.keys, tableDist(c, q, id))
+		o.Add(id, tableDist(c, q, id))
 	}
-	r.ks.ids = ids
-	sort.Sort(&r.ks)
-	r.ks.ids = nil
+	o.Init()
 	c.AddServerOps(len(ids))
-}
-
-// rankTable is the allocating convenience form of ranker.rank, kept for
-// callers outside the per-event hot path (and their tests).
-func rankTable(c server.Host, q query.Center) []int {
-	var r ranker
-	ids := r.rank(c, q)
-	out := make([]int, len(ids))
-	copy(out, ids)
-	return out
 }
 
 // tableDist returns the distance of stream id's table value from q.
@@ -71,9 +42,3 @@ func tableDist(c server.Host, q query.Center, id int) float64 {
 // paper's placement for R ("halfway between the (k+r)th and the (k+r+1)st
 // object").
 func midpoint(inner, outer float64) float64 { return (inner + outer) / 2 }
-
-// sortByTableDist orders ids ascending by (table distance from q, id).
-func sortByTableDist(c server.Host, q query.Center, ids []int) {
-	var r ranker
-	r.sortIDs(c, q, ids)
-}

@@ -6,6 +6,7 @@ import (
 
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -30,7 +31,7 @@ type RTP struct {
 	// Reusable scratch for the maintenance-phase repair paths (replacement
 	// ranking, expanding search, X refresh), so steady-state event handling
 	// allocates nothing once the buffers have grown to the stream count.
-	rk       ranker
+	rk       rankorder.Order
 	valsBuf  []float64
 	idBuf    []int  // replacement candidates / probe fan-out
 	pendBuf  []int  // expanding search: candidates awaiting a reply
@@ -76,24 +77,23 @@ func (p *RTP) Initialize() {
 // rebuildFromRanking recomputes A and X from the current server table and
 // redeploys the bound (shared by Initialize and the Case 3 X refresh).
 func (p *RTP) rebuildFromRanking() {
-	sorted := p.rk.rank(p.c, p.q)
+	rankByTable(&p.rk, p.c, p.q)
+	e := p.tol.Eps()
+	sorted := p.rk.Prefix(e + 1)
 	p.inA.clear()
 	p.inX.clear()
-	for i, id := range sorted {
+	for i, id := range sorted[:e] {
 		if i < p.tol.K {
 			p.inA.add(id)
 		}
-		if i < p.tol.Eps() {
-			p.inX.add(id)
-		} else {
-			break
-		}
+		p.inX.add(id)
 	}
 	p.deployBound(sorted)
 }
 
 // deployBound places R halfway between the ε_k^r-th and (ε_k^r+1)-st
 // table distances and installs it on every stream (Figure 5 Deploy_bound).
+// sorted holds at least the first ε_k^r+1 ranks.
 func (p *RTP) deployBound(sorted []int) {
 	e := p.tol.Eps()
 	inner := tableDist(p.c, p.q, sorted[e-1])
@@ -146,8 +146,9 @@ func (p *RTP) answerLeft(id stream.ID) {
 			}
 		}
 		p.idBuf = candidates
-		p.rk.sortIDs(p.c, p.q, candidates)
-		p.inA.add(candidates[0])
+		rankIDs(&p.rk, p.c, p.q, candidates)
+		best, _ := p.rk.Rank(0)
+		p.inA.add(best)
 		return
 	}
 	// Step 4: X−A is empty; expand the search region outward using the old
@@ -162,13 +163,15 @@ func (p *RTP) answerLeft(id stream.ID) {
 
 // expandSearch implements Figure 5 Case 2 step 4: grow a candidate region
 // R' through the stale ranking, conditionally probing candidates until at
-// least two respond, then rebuild A and X and redeploy the bound. All
-// working storage is protocol scratch; the hit bitmap is cleaned before
-// every return.
+// least two respond, then rebuild A and X and redeploy the bound. The
+// stale ranking is read lazily, one rank per expansion step, and may run
+// to rank n. All working storage is protocol scratch; the hit bitmap is
+// cleaned before every return.
 func (p *RTP) expandSearch() bool {
-	sorted := p.rk.rank(p.c, p.q)
+	rankByTable(&p.rk, p.c, p.q)
 	e := p.tol.Eps()
-	if n := p.c.N(); len(p.isHit) < n {
+	n := p.rk.Len()
+	if len(p.isHit) < n {
 		p.isHit = make([]bool, n)
 	}
 	hits := p.hitBuf[:0] // conditional-probe hits, discovery order
@@ -178,16 +181,17 @@ func (p *RTP) expandSearch() bool {
 	// previous hits remain hits and only misses need re-probing.
 	pending, spare := p.pendBuf[:0], p.spareBuf[:0]
 	found := false
-	for _, id := range sorted[:e] {
+	for _, id := range p.rk.Prefix(e) {
 		if !p.inA.has(id) {
 			pending = append(pending, id)
 		}
 	}
-	for j := e + 1; j <= len(sorted); j++ {
-		dPrime := tableDist(p.c, p.q, sorted[j-1])
+	for j := e + 1; j <= n; j++ {
+		next, _ := p.rk.Rank(j - 1)
+		dPrime := tableDist(p.c, p.q, next)
 		region := p.q.BallConstraint(dPrime)
-		if !p.inA.has(sorted[j-1]) {
-			pending = append(pending, sorted[j-1])
+		if !p.inA.has(next) {
+			pending = append(pending, next)
 		}
 		spare = spare[:0]
 		for _, cand := range pending {
@@ -208,17 +212,17 @@ func (p *RTP) expandSearch() bool {
 			continue
 		}
 		// Found enough candidates: the closest joins A; X keeps up to r+1
-		// of the closest hits alongside A. (sorted is dead past this point,
-		// so reusing the ranker's key buffer for the hit sort is safe.)
-		u := hits
-		p.rk.sortIDs(p.c, p.q, u) // hits' table values are fresh
+		// of the closest hits alongside A. (The stale ranking is dead past
+		// this point, so reusing its Order to rank the hits is safe.)
+		limit := p.tol.R + 1
+		if limit > len(hits) {
+			limit = len(hits)
+		}
+		rankIDs(&p.rk, p.c, p.q, hits) // hits' table values are fresh
+		u := p.rk.Prefix(limit + 1)
 		p.inA.add(u[0])
 		p.inX.clear()
 		p.inX.addAll(&p.inA)
-		limit := p.tol.R + 1
-		if limit > len(u) {
-			limit = len(u)
-		}
 		for _, idm := range u[:limit] {
 			p.inX.add(idm)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/query"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -24,7 +25,7 @@ type ZTRP struct {
 
 	// Reusable scratch for rebuilds, so the zero-tolerance repair paths
 	// allocate nothing once warm.
-	rk      ranker
+	rk      rankorder.Order
 	valsBuf []float64
 	idBuf   []int
 
@@ -55,7 +56,8 @@ func (p *ZTRP) Initialize() {
 
 // rebuild recomputes A and R from the current server table and redeploys.
 func (p *ZTRP) rebuild() {
-	sorted := p.rk.rank(p.c, p.q)
+	rankByTable(&p.rk, p.c, p.q)
+	sorted := p.rk.Prefix(p.k + 1)
 	p.ans.clear()
 	for _, id := range sorted[:p.k] {
 		p.ans.add(id)

@@ -6,6 +6,7 @@ import (
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -34,7 +35,7 @@ type FTRP2D struct {
 	count int
 	cur   filter.Region
 
-	rs rankScratch
+	rs rankorder.Order
 
 	// Recomputes counts full bound recomputations.
 	Recomputes uint64
@@ -115,13 +116,20 @@ func (p *FTRP2D) Initialize() {
 }
 
 func (p *FTRP2D) rebuild() {
-	ids := p.rs.rank(p.h, p.q)
+	rankByTable(&p.rs, p.h, p.q)
+	m := p.k + 1
+	if p.k+p.nMinusBudget > m {
+		m = p.k + p.nMinusBudget
+	}
+	ids := p.rs.Prefix(m)
 
 	clear(p.ans)
 	clear(p.fp)
 	clear(p.fn)
 	p.count = 0
-	p.cur = filter.NewDisk(p.q, (p.rs.dist[p.k-1]+p.rs.dist[p.k])/2)
+	_, inner := p.rs.Rank(p.k - 1)
+	_, outer := p.rs.Rank(p.k)
+	p.cur = filter.NewDisk(p.q, (inner+outer)/2)
 
 	// Boundary-nearest placement: inside streams with the largest distance,
 	// outside streams with the smallest.
@@ -137,8 +145,14 @@ func (p *FTRP2D) rebuild() {
 
 	// One Install message per stream, each routed through the host so the
 	// charge rules stay the shared ones (the legacy path bulk-charged the
-	// counter and poked sources directly).
-	for _, id := range ids {
+	// counter and poked sources directly). Installs go in id order, as in
+	// the 1-D FT-RP, so no rank past the silent budgets is ever needed.
+	// The order cannot change an outcome: every rebuild follows ProbeAll,
+	// so each install's expected side is read from a fresh table and
+	// matches the stream's true side (and the silent regions never
+	// report). No install can emit a report, so each one only replaces its
+	// own stream's region, and the installs commute.
+	for id := 0; id < p.h.N(); id++ {
 		switch {
 		case p.fp[id]:
 			p.h.Install(id, filter.WideOpenRegion(p.q), true)

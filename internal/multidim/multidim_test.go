@@ -9,6 +9,7 @@ import (
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
@@ -278,7 +279,7 @@ func TestRTP2DPanicsOnBadTolerance(t *testing.T) {
 	NewRTP2D(c, Point{}, core.RankTolerance{K: 2, R: 1})
 }
 
-// nanTableHost feeds the rank scratch a NaN distance: Table returns a NaN
+// nanTableHost feeds the ranker a NaN distance: Table returns a NaN
 // point, something the validated ingest/restore paths can never produce.
 type nanTableHost struct{ server.SpatialHost }
 
@@ -298,8 +299,8 @@ func TestRankTablePanicsOnNaN(t *testing.T) {
 			t.Error("NaN distance did not panic the rank table")
 		}
 	}()
-	var rs rankScratch
-	rs.rank(nanTableHost{}, Point{})
+	var o rankorder.Order
+	rankByTable(&o, nanTableHost{}, Point{})
 }
 
 // TestDeliverNaNPanics pins the façade's ingest trust boundary: a NaN
@@ -334,5 +335,49 @@ func TestSortedKeysOrdered(t *testing.T) {
 	got := sortedKeys(map[int]bool{5: true, 1: true, 3: true})
 	if !sort.IntsAreSorted(got) || len(got) != 3 {
 		t.Fatalf("sortedKeys = %v", got)
+	}
+}
+
+// TestWarmRankPathsAllocateNothing holds the 2-D ranker consumers to the
+// allocation policy of DESIGN §5.2: once warm, RTP2D's rebuild and
+// expanding search and FTRP2D's rebuild allocate nothing.
+func TestWarmRankPathsAllocateNothing(t *testing.T) {
+	q := pt(0, 0)
+	pts := ringPoints(400, q)
+	rtp := newRTP2D(NewCluster(pts), q, core.RankTolerance{K: 5, R: 3})
+	fc := NewCluster(pts)
+	ftrp := NewFTRP2D(fc, q, 30, core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3})
+	fc.SetProtocol(ftrp)
+	fc.Initialize()
+
+	paths := []struct {
+		name string
+		run  func() bool
+	}{
+		{"rtp2d/rebuild", func() bool { rtp.rebuildFromTable(); return true }},
+		{"rtp2d/expand", func() bool {
+			rtp.rebuildFromTable()
+			// Empty X−A, then lose an answer: Case 2 step 4.
+			for x := range rtp.inX {
+				if !rtp.inA[x] {
+					delete(rtp.inX, x)
+				}
+			}
+			id := minKey2D(rtp.inA)
+			delete(rtp.inA, id)
+			delete(rtp.inX, id)
+			return rtp.expandSearch()
+		}},
+		{"ft-rp2d/rebuild", func() bool { ftrp.rebuild(); return true }},
+	}
+	for _, path := range paths {
+		ok := true
+		allocs := testing.AllocsPerRun(20, func() { ok = path.run() && ok })
+		if !ok {
+			t.Errorf("%s: the path did not run as set up", path.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per warm run, want 0", path.name, allocs)
+		}
 	}
 }

@@ -2,63 +2,28 @@ package multidim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/rankorder"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/stream"
 )
 
-// rankScratch owns the reusable buffers behind distance ranking: stream ids
-// and their parallel distances to the query point, sorted together by
-// (distance, id). Reuse keeps repeated rebuilds off the allocator, and the
-// keyed sorter replaces the legacy sort.Slice closure whose comparator
-// silently corrupted the order when a NaN distance slipped in (the ostree
-// bug class PR 6 fixed in 1-D): distances are validated as they are filled,
-// so a NaN — impossible via validated ingest/restore, hence a caller bug —
-// panics instead of scrambling the ranking.
-type rankScratch struct {
-	ids  []int
-	dist []float64
-}
-
-func (s *rankScratch) Len() int { return len(s.ids) }
-func (s *rankScratch) Less(a, b int) bool {
-	da, db := s.dist[a], s.dist[b]
-	if da != db {
-		return da < db
-	}
-	return s.ids[a] < s.ids[b]
-}
-func (s *rankScratch) Swap(a, b int) {
-	s.ids[a], s.ids[b] = s.ids[b], s.ids[a]
-	s.dist[a], s.dist[b] = s.dist[b], s.dist[a]
-}
-
-// rank fills the scratch with every stream id ranked by (distance to q,
-// id), reading locations from the host table, and charges n server ops for
-// the ranking work. It panics on NaN distances.
-func (s *rankScratch) rank(h server.SpatialHost, q Point) []int {
+// rankByTable loads every stream's table distance from q into o and
+// heapifies it, so o yields the (distance, id) ranking lazily, and charges
+// n server ops for the modelled re-rank. A NaN distance — impossible via
+// validated ingest and restore, hence a caller bug — panics in o.Add.
+func rankByTable(o *rankorder.Order, h server.SpatialHost, q Point) {
 	n := h.N()
-	if cap(s.ids) < n {
-		s.ids = make([]int, n)
-		s.dist = make([]float64, n)
-	}
-	s.ids, s.dist = s.ids[:n], s.dist[:n]
+	o.Reset()
 	for i := 0; i < n; i++ {
-		s.ids[i] = i
 		pt, _ := h.Table(i)
-		d := Dist(q, pt)
-		if math.IsNaN(d) {
-			panic("multidim: NaN distance in rank table")
-		}
-		s.dist[i] = d
+		o.Add(i, Dist(q, pt))
 	}
-	sort.Sort(s)
+	o.Init()
 	h.AddServerOps(n)
-	return s.ids
 }
 
 func sortedKeys(m map[int]bool) []int {
@@ -90,8 +55,7 @@ type RTP2D struct {
 	inX map[int]bool
 	cur filter.Region
 
-	rs      rankScratch
-	us      rankScratch   // expandSearch responder ranking scratch
+	rs      rankorder.Order
 	pending []int         // expandSearch candidate scratch
 	hits    map[int]Point // expandSearch responder scratch
 	probeXs []int         // entered() batch-probe scratch
@@ -142,21 +106,19 @@ func (p *RTP2D) Initialize() {
 }
 
 func (p *RTP2D) rebuildFromTable() {
-	sorted := p.rs.rank(p.h, p.q)
+	rankByTable(&p.rs, p.h, p.q)
+	e := p.tol.Eps()
 	clear(p.inA)
 	clear(p.inX)
-	for i, id := range sorted {
+	for i, id := range p.rs.Prefix(e) {
 		if i < p.tol.K {
 			p.inA[id] = true
 		}
-		if i < p.tol.Eps() {
-			p.inX[id] = true
-		} else {
-			break
-		}
+		p.inX[id] = true
 	}
-	e := p.tol.Eps()
-	p.install((p.rs.dist[e-1] + p.rs.dist[e]) / 2)
+	_, inner := p.rs.Rank(e - 1)
+	_, outer := p.rs.Rank(e)
+	p.install((inner + outer) / 2)
 }
 
 func (p *RTP2D) install(r float64) {
@@ -216,23 +178,26 @@ func (p *RTP2D) answerLeft(id int) {
 // respond. Every conditional probe is a SpatialHost.ProbeIf round — the
 // request always charged, the reply only on a hit — so the 2-D costs are
 // priced by the same charge rules as server.Cluster's
-// (TestSpatialChargeParity pins this).
+// (TestSpatialChargeParity pins this). The stale ranking is read lazily,
+// one rank per expansion step, and may run to rank n.
 func (p *RTP2D) expandSearch() bool {
-	sorted := p.rs.rank(p.h, p.q)
+	rankByTable(&p.rs, p.h, p.q)
 	e := p.tol.Eps()
+	n := p.rs.Len()
 	clear(p.hits)
 	p.pending = p.pending[:0]
-	for _, id := range sorted[:e] {
+	for _, id := range p.rs.Prefix(e) {
 		if !p.inA[id] {
 			p.pending = append(p.pending, id)
 		}
 	}
-	for j := e + 1; j <= len(sorted); j++ {
-		tp, _ := p.h.Table(sorted[j-1])
+	for j := e + 1; j <= n; j++ {
+		next, _ := p.rs.Rank(j - 1)
+		tp, _ := p.h.Table(next)
 		dPrime := Dist(p.q, tp)
 		region := filter.NewDisk(p.q, dPrime)
-		if !p.inA[sorted[j-1]] {
-			p.pending = append(p.pending, sorted[j-1])
+		if !p.inA[next] {
+			p.pending = append(p.pending, next)
 		}
 		misses := p.pending[:0]
 		for _, cand := range p.pending {
@@ -249,21 +214,23 @@ func (p *RTP2D) expandSearch() bool {
 		if len(p.hits) < 2 {
 			continue
 		}
-		p.us.ids, p.us.dist = p.us.ids[:0], p.us.dist[:0]
-		for id, pt := range p.hits {
-			p.us.ids = append(p.us.ids, id)
-			p.us.dist = append(p.us.dist, Dist(p.q, pt))
+		limit := p.tol.R + 1
+		if limit > len(p.hits) {
+			limit = len(p.hits)
 		}
-		sort.Sort(&p.us)
-		u := p.us.ids
+		// Rank the responders. The stale ranking is dead past this point,
+		// so reusing its Order is safe, and (distance, id) is a strict
+		// total order, so the map's random iteration order cannot leak in.
+		p.rs.Reset()
+		for id, pt := range p.hits {
+			p.rs.Add(id, Dist(p.q, pt))
+		}
+		p.rs.Init()
+		u := p.rs.Prefix(limit + 1)
 		p.inA[u[0]] = true
 		clear(p.inX)
 		for a := range p.inA {
 			p.inX[a] = true
-		}
-		limit := p.tol.R + 1
-		if limit > len(u) {
-			limit = len(u)
 		}
 		for _, id := range u[:limit] {
 			p.inX[id] = true
@@ -277,7 +244,7 @@ func (p *RTP2D) expandSearch() bool {
 		}
 		outer := dPrime
 		if limit < len(u) {
-			if d := Dist(p.q, p.hits[u[limit]]); d < outer {
+			if _, d := p.rs.Rank(limit); d < outer {
 				outer = d
 			}
 		}
