@@ -9,9 +9,9 @@ import (
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/experiment"
 	"adaptivefilters/internal/metrics"
-	"adaptivefilters/internal/multiquery"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
+	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/workload"
 )
 
@@ -265,10 +265,13 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 // BenchmarkMultiQueryShared compares shared composite filters against one
 // independent cluster per query (the §7 future-work extension).
 func BenchmarkMultiQueryShared(b *testing.B) {
-	specs := []multiquery.QuerySpec{
-		{Range: query.NewRange(100, 300), Tol: core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},
-		{Range: query.NewRange(250, 500), Tol: core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},
-		{Range: query.NewRange(700, 900), Tol: core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}},
+	specs := []struct {
+		Range query.Range
+		Tol   core.FractionTolerance
+	}{
+		{query.NewRange(100, 300), core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},
+		{query.NewRange(250, 500), core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},
+		{query.NewRange(700, 900), core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}},
 	}
 	n, steps := 500, 30000
 	mkMoves := func() ([]float64, [][2]float64) {
@@ -289,9 +292,19 @@ func BenchmarkMultiQueryShared(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		reportMsgs(b, func() uint64 {
 			vals, moves := mkMoves()
-			m, err := multiquery.NewManager(vals, specs, 3)
-			if err != nil {
-				b.Fatal(err)
+			m := server.NewComposite(vals)
+			for qi, spec := range specs {
+				// ReinitNever: re-initialization would cost a per-query
+				// ProbeAll, defeating the shared-probe economics.
+				cfg := core.FTNRPConfig{
+					Tol:       spec.Tol,
+					Selection: core.SelectBoundaryNearest,
+					Seed:      sim.DeriveSeed(3, 0x9E37, int64(qi)),
+					Reinit:    core.ReinitNever,
+				}
+				m.AddQuery(fmt.Sprintf("q%d", qi), int64(qi), func(h server.Host) server.Protocol {
+					return core.NewFTNRP(h, spec.Range, cfg)
+				})
 			}
 			m.Initialize()
 			for _, mv := range moves {

@@ -6,7 +6,7 @@
 //
 // It also demonstrates the multi-query extension: several consoles watch
 // different temperature bands over the same sensors with shared composite
-// filters.
+// filters (server.Composite).
 //
 // Run with: go run ./examples/sensornet
 package main
@@ -15,9 +15,9 @@ import (
 	"fmt"
 
 	"adaptivefilters/internal/core"
-	"adaptivefilters/internal/multiquery"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
+	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/workload"
 )
 
@@ -67,14 +67,28 @@ func main() {
 		100*(1-float64(cluster.Counter().Maintenance())/float64(events)))
 
 	// --- multiple consoles over the same sensors ---------------------------
-	specs := []multiquery.QuerySpec{
-		{Range: query.NewRange(0, 150), Tol: core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},    // frost watch
-		{Range: query.NewRange(400, 600), Tol: core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},  // comfort band
-		{Range: query.NewRange(850, 1000), Tol: core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}}, // fire watch
+	specs := []struct {
+		Range query.Range
+		Tol   core.FractionTolerance
+	}{
+		{query.NewRange(0, 150), core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},    // frost watch
+		{query.NewRange(400, 600), core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},  // comfort band
+		{query.NewRange(850, 1000), core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}}, // fire watch
 	}
-	mgr, err := multiquery.NewManager(initial, specs, 7)
-	if err != nil {
-		panic(err)
+	mgr := server.NewComposite(initial)
+	for qi, spec := range specs {
+		// ReinitNever: re-initialization would cost a per-query ProbeAll,
+		// defeating the shared-probe economics; a depleted console degrades
+		// to ZT-NRP exactly as a single-query protocol would.
+		cfg := core.FTNRPConfig{
+			Tol:       spec.Tol,
+			Selection: core.SelectBoundaryNearest,
+			Seed:      sim.DeriveSeed(7, 0x9E37, int64(qi)),
+			Reinit:    core.ReinitNever,
+		}
+		mgr.AddQuery(fmt.Sprintf("console-%d", qi), int64(qi), func(h server.Host) server.Protocol {
+			return core.NewFTNRP(h, spec.Range, cfg)
+		})
 	}
 	mgr.Initialize()
 	it = w.Events()

@@ -116,20 +116,17 @@ func (p *FTNRP) Initialize() {
 	p.valsBuf = p.c.ProbeAllInto(p.valsBuf)
 	vals := p.valsBuf
 	p.c.AddServerOps(len(vals))
-	p.InitializeFromTable(vals)
+	p.assignFromTable(vals)
 	for id := range vals {
-		cons, inside := p.FilterFor(id, vals[id])
+		cons, inside := p.filterFor(id, vals[id])
 		p.c.Install(id, cons, inside)
 	}
 }
 
-// InitializeFromTable computes the initial answer set and the silent-filter
+// assignFromTable computes the initial answer set and the silent-filter
 // assignments from the given table snapshot without exchanging any
-// messages. Hosts that probe once on behalf of several protocols
-// (multiquery.Manager) call it directly and deploy the resulting filters
-// themselves via FilterFor; Initialize composes it with a ProbeAll and
-// per-stream installs.
-func (p *FTNRP) InitializeFromTable(vals []float64) {
+// messages; Initialize composes it with a ProbeAll and per-stream installs.
+func (p *FTNRP) assignFromTable(vals []float64) {
 	p.ans.clear()
 	p.fp.clear()
 	p.fn.clear()
@@ -165,11 +162,11 @@ func (p *FTNRP) pickSilent(ids []int, vals []float64, n int) []int {
 	return p.cfg.Selection.pickKeyed(&p.ks, ids, p.keyBuf, n, p.sel.Rand)
 }
 
-// FilterFor returns the constraint this protocol wants installed at stream
+// filterFor returns the constraint this protocol wants installed at stream
 // id given its table value v, plus the side of the constraint the server
 // believes the stream is on: the silent [−∞,∞] / [∞,∞] filters for the
 // selected tolerance holders, the query interval for everyone else.
-func (p *FTNRP) FilterFor(id stream.ID, v float64) (filter.Constraint, bool) {
+func (p *FTNRP) filterFor(id stream.ID, v float64) (filter.Constraint, bool) {
 	switch {
 	case p.fp.has(id):
 		return filter.WideOpen(), true

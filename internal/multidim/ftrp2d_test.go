@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptivefilters/internal/core"
+	"adaptivefilters/internal/server"
 )
 
 // check2DFraction validates Definition 3 for a 2-D k-NN answer by brute
@@ -56,7 +57,7 @@ func check2DFraction(t *testing.T, pts []Point, q Point, ans []int, k int,
 
 func TestFTRP2DInitialization(t *testing.T) {
 	q := pt(50, 50)
-	c := NewCluster(ringPoints(30, q))
+	c := server.NewSpatialCluster(ringPoints(30, q))
 	tol := core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}
 	p := NewFTRP2D(c, q, 10, tol)
 	c.SetProtocol(p)
@@ -89,7 +90,7 @@ func TestFTRP2DFractionInvariantUnderRandomWalk(t *testing.T) {
 	}
 	tol := core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}
 	k := 12
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := NewFTRP2D(c, q, k, tol)
 	c.SetProtocol(p)
 	c.Initialize()
@@ -126,7 +127,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 
 	// Tolerant run.
 	pts := mkPts()
-	c := NewCluster(append([]Point(nil), pts...))
+	c := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p := NewFTRP2D(c, q, 10, core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4})
 	c.SetProtocol(p)
 	c.Initialize()
@@ -140,7 +141,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 
 	// Zero-tolerance run (window [k,k] forces a rebuild on every change).
 	pts = mkPts()
-	c2 := NewCluster(append([]Point(nil), pts...))
+	c2 := server.NewSpatialCluster(append([]Point(nil), pts...))
 	p2 := NewFTRP2D(c2, q, 10, core.FractionTolerance{})
 	c2.SetProtocol(p2)
 	c2.Initialize()
@@ -158,7 +159,7 @@ func TestFTRP2DCheaperThanPerCrossingRecompute(t *testing.T) {
 }
 
 func TestFTRP2DPanics(t *testing.T) {
-	c := NewCluster(ringPoints(5, Point{}))
+	c := server.NewSpatialCluster(ringPoints(5, Point{}))
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -13,13 +13,12 @@ import (
 	"adaptivefilters/internal/sim"
 )
 
-// TestFacadeMatchesRuntime is the façade's contract (see the Cluster doc
-// comment): driving the same deterministic 2-D event sequence through the
-// synchronous Cluster and through a runtime.Node hosting the same protocol
-// as a spatial tenant — at shard counts 1 and 4 — yields identical answers
-// and identical message counters. The façade is a construction idiom, not a
-// separate semantics.
-func TestFacadeMatchesRuntime(t *testing.T) {
+// TestSpatialClusterMatchesRuntime pins that the 2-D protocols have one
+// semantics wherever they are hosted: driving the same deterministic 2-D
+// event sequence through a synchronous server.SpatialCluster and through a
+// runtime.Node hosting the same protocol as a spatial tenant — at shard
+// counts 1 and 4 — yields identical answers and identical message counters.
+func TestSpatialClusterMatchesRuntime(t *testing.T) {
 	const n, steps = 30, 2000
 	q := pt(500, 500)
 
@@ -61,8 +60,8 @@ func TestFacadeMatchesRuntime(t *testing.T) {
 				return moves
 			}
 
-			// Reference: the synchronous façade.
-			c := NewCluster(mkPoints())
+			// Reference: the synchronous spatial cluster.
+			c := server.NewSpatialCluster(mkPoints())
 			c.SetProtocol(tc.mk(c))
 			c.Initialize()
 			for _, m := range mkMoves() {
@@ -72,7 +71,7 @@ func TestFacadeMatchesRuntime(t *testing.T) {
 			wantCounter := fmt.Sprintf("%+v", *c.Counter())
 
 			for _, shards := range []int{1, 4} {
-				spec := runtime.TenantSpec{Name: "facade", SpatialInitial: mkPoints(),
+				spec := runtime.TenantSpec{Name: "spatial", SpatialInitial: mkPoints(),
 					NewSpatial: func(h server.SpatialHost, seed int64) server.SpatialProtocol {
 						return tc.mk(h)
 					}}
@@ -97,10 +96,10 @@ func TestFacadeMatchesRuntime(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := node.Answer(0); !reflect.DeepEqual(got, wantAnswer) {
-					t.Errorf("shards=%d: answer = %v, façade = %v", shards, got, wantAnswer)
+					t.Errorf("shards=%d: answer = %v, spatial cluster = %v", shards, got, wantAnswer)
 				}
 				if got := fmt.Sprintf("%+v", *node.Counter(0)); got != wantCounter {
-					t.Errorf("shards=%d: counter = %s, façade = %s", shards, got, wantCounter)
+					t.Errorf("shards=%d: counter = %s, spatial cluster = %s", shards, got, wantCounter)
 				}
 				node.Stop()
 			}

@@ -44,7 +44,7 @@ func sortedKeys(m map[int]bool) []int {
 // is the shared charge table's, not the protocol's own arithmetic.
 //
 // RTP2D is a server.SpatialStatefulProtocol: it runs under any SpatialHost
-// (the synchronous Cluster façade or runtime.Node's shard loops) and
+// (a synchronous server.SpatialCluster or runtime.Node's shard loops) and
 // snapshots via ExportState/ImportState.
 type RTP2D struct {
 	h   server.SpatialHost

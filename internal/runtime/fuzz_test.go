@@ -8,11 +8,12 @@ import (
 )
 
 // fuzzSpecs is the fixed tenant configuration every fuzz input is decoded
-// against: small, heterogeneous (FT-NRP with random selection, RTP, and a
-// multi-query composite tenant), so cluster state, composite fabric state,
-// protocol state and RNG positions all appear in the encoding.
+// against: small, heterogeneous (FT-NRP with random selection, RTP, a
+// multi-query composite tenant and an RTP2D spatial tenant), so cluster,
+// spatial-cluster and composite fabric state, protocol state and RNG
+// positions all appear in the encoding.
 func fuzzSpecs() []TenantSpec {
-	return append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5))
+	return append(testSpecs(2, 10), qpSpec("fz-mq", 3, 10, 5), spatialSpec("fz-sp", 10, 8))
 }
 
 // validFuzzSnapshot produces a pristine snapshot of a short run, used both
@@ -27,10 +28,8 @@ func validFuzzSnapshot(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	defer node.Stop()
-	for _, b := range testEvents(specs, 40, 17) {
-		if err := node.Ingest(b); err != nil {
-			tb.Fatal(err)
-		}
+	if err := node.Ingest(pinEvents(specs, 40, 17)); err != nil {
+		tb.Fatal(err)
 	}
 	snap, err := node.Snapshot()
 	if err != nil {
@@ -71,16 +70,7 @@ func FuzzRestoreNode(f *testing.F) {
 			if !node.Alive(ti) {
 				continue
 			}
-			if node.MultiQuery(ti) {
-				for qi := 0; qi < node.NumQueries(ti); qi++ {
-					if node.QueryAlive(ti, qi) {
-						_ = node.QueryAnswer(ti, qi)
-					}
-				}
-			} else {
-				_ = node.Answer(ti)
-			}
-			_ = node.Counter(ti)
+			readAnswers(node, ti)
 			if err := node.Ingest([]Event{{Tenant: ti, Stream: 0, Value: 500}}); err != nil {
 				t.Fatalf("restored node refused an event for live tenant %d: %v", ti, err)
 			}
@@ -95,13 +85,118 @@ func FuzzRestoreNode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Raw path: arbitrary bytes mostly die on the checksum trailer.
 		tryRestore(t, data)
-		// Decoder path: treat the input as a payload and append a valid
-		// checksum, so mutations reach the structural decoder behind the
-		// integrity check.
-		fixed := make([]byte, len(data)+8)
-		copy(fixed, data)
-		sum := crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-		binary.LittleEndian.PutUint64(fixed[len(data):], uint64(sum))
-		tryRestore(t, fixed)
+		// Decoder path: the input as a payload behind a valid checksum.
+		tryRestore(t, withChecksum(data))
+	})
+}
+
+// readAnswers reads live tenant ti's answer set(s) and counter, so latent
+// decode corruption in them surfaces as a panic under the fuzzer.
+func readAnswers(node *Node, ti int) {
+	if node.MultiQuery(ti) {
+		for qi := 0; qi < node.NumQueries(ti); qi++ {
+			if node.QueryAlive(ti, qi) {
+				_ = node.QueryAnswer(ti, qi)
+			}
+		}
+	} else {
+		_ = node.Answer(ti)
+	}
+	_ = node.Counter(ti)
+}
+
+// withChecksum treats data as a payload and appends a valid crc32c
+// trailer, so fuzz mutations reach the structural decoders behind the
+// integrity check.
+func withChecksum(data []byte) []byte {
+	fixed := make([]byte, len(data)+8)
+	copy(fixed, data)
+	sum := crc32.Checksum(data, crcTable)
+	binary.LittleEndian.PutUint64(fixed[len(data):], uint64(sum))
+	return fixed
+}
+
+// validTenantRecords exports one record per fuzzSpecs tenant after a short
+// run in which the composite tenant lost a query.
+func validTenantRecords(tb testing.TB) [][]byte {
+	specs := fuzzSpecs()
+	node, err := NewNode(Config{Shards: 2, Seed: 21}, specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := node.Start(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	defer node.Stop()
+	if err := node.Ingest(pinEvents(specs, 40, 19)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := node.RemoveQuery(2, 0); err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([][]byte, len(specs))
+	for ti := range specs {
+		if recs[ti], err = node.ExportTenant(ti); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// FuzzImportTenant pins ImportTenant's decode contract: a rejected record
+// returns an error and leaves the node unchanged and serving; an accepted
+// one yields a tenant that answers, ingests, drains and re-exports. Each
+// input is decoded against the fuzzSpecs entry its spec byte selects.
+func FuzzImportTenant(f *testing.F) {
+	for ti, rec := range validTenantRecords(f) {
+		f.Add(uint8(ti), rec)
+		f.Add(uint8(ti), rec[:len(rec)-8])
+		f.Add(uint8(ti), rec[:len(rec)/2])
+		for i := 0; i < len(rec); i += 67 {
+			mut := append([]byte(nil), rec...)
+			mut[i] ^= 0x5A
+			f.Add(uint8(ti), mut)
+		}
+	}
+	f.Add(uint8(0), []byte{})
+	tryImport := func(t *testing.T, spec TenantSpec, data []byte) {
+		// The resident tenant's seed label cannot collide with a record's.
+		node, err := NewNodeLabeled(Config{Shards: 1, Seed: 21}, testSpecs(1, 8), []int64{1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		ti, err := node.ImportTenant(spec, data)
+		if err != nil {
+			if got := node.NumTenants(); got != 1 {
+				t.Fatalf("rejected record changed NumTenants to %d", got)
+			}
+			if err := node.Ingest([]Event{{Tenant: 0, Stream: 0, Value: 500}}); err != nil {
+				t.Fatalf("node stopped serving after a rejected record: %v", err)
+			}
+			if err := node.Drain(); err != nil {
+				t.Fatalf("node failed to drain after a rejected record: %v", err)
+			}
+			return
+		}
+		readAnswers(node, ti)
+		if err := node.Ingest([]Event{{Tenant: ti, Stream: 0, Value: 500}}); err != nil {
+			t.Fatalf("imported tenant refused an event: %v", err)
+		}
+		if err := node.Drain(); err != nil {
+			t.Fatalf("node failed to drain after an import: %v", err)
+		}
+		if _, err := node.ExportTenant(ti); err != nil {
+			t.Fatalf("imported tenant failed to re-export: %v", err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		specs := fuzzSpecs()
+		spec := specs[int(which)%len(specs)]
+		tryImport(t, spec, data)
+		tryImport(t, spec, withChecksum(data))
 	})
 }

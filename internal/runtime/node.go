@@ -22,7 +22,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,6 @@ import (
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/filter"
 	"adaptivefilters/internal/server"
-	"adaptivefilters/internal/sim"
 	"adaptivefilters/internal/stream"
 )
 
@@ -141,82 +139,29 @@ func (c Config) queue() int {
 }
 
 // tenant is one hosted serving instance, owned by exactly one shard after
-// Start: a single-query server.Cluster, a multi-query server.Composite or a
-// spatial server.SpatialCluster (exactly one of cluster/comp/spatial is
-// non-nil).
+// Start: its serving fabric plus the bookkeeping the node keeps for every
+// kind alike.
 type tenant struct {
-	name    string
-	cluster *server.Cluster        // single-query tenants
-	proto   server.Protocol        // single-query tenants
-	comp    *server.Composite      // multi-query tenants
-	spatial *server.SpatialCluster // spatial tenants
-	sproto  server.SpatialProtocol // spatial tenants
-	shard   int
-	events  uint64
+	name   string
+	fab    fabric
+	shard  int
+	events uint64
 	// seedID is the label the tenant's protocol seed was derived with. It is
 	// assigned from a monotonic admission counter, never reused after an
 	// eviction, and recorded in snapshots — so a tenant's randomness depends
 	// only on (node seed, admission order), not on placement, shard count or
 	// the lifecycle of its neighbors.
 	seedID int64
-	// nextQuerySeed is the composite tenant's monotonic query-admission
-	// counter, the per-query analogue of the node's nextSeedID: query seed
-	// labels are never reused after a RemoveQuery, and the counter rides in
-	// snapshots so admissions after a restore continue the sequence.
-	nextQuerySeed int64
 	// initialized marks tenants whose t0 phase already ran (or was restored
 	// from a snapshot); the shard loops skip Initialize for them.
 	initialized bool
 }
 
-// initialize runs the tenant's t0 phase on whichever backend serves it.
-func (t *tenant) initialize() {
-	switch {
-	case t.comp != nil:
-		t.comp.Initialize()
-	case t.spatial != nil:
-		t.spatial.Initialize()
-	default:
-		t.cluster.Initialize()
-	}
-}
-
-// deliver applies one event on the serving backend (the shard-loop hot
-// path; all branches are allocation-free in steady state).
-func (t *tenant) deliver(s stream.ID, v, y float64) {
-	switch {
-	case t.comp != nil:
-		t.comp.Deliver(s, v)
-	case t.spatial != nil:
-		t.spatial.Deliver(s, filter.Point{X: v, Y: y})
-	default:
-		t.cluster.Deliver(s, v)
-	}
-}
-
-// n returns the tenant's stream-partition size.
-func (t *tenant) n() int {
-	switch {
-	case t.comp != nil:
-		return t.comp.N()
-	case t.spatial != nil:
-		return t.spatial.N()
-	default:
-		return t.cluster.N()
-	}
-}
-
-// counter returns the tenant's message counter (shared across all queries
-// of a composite tenant).
-func (t *tenant) counter() *comm.Counter {
-	switch {
-	case t.comp != nil:
-		return t.comp.Counter()
-	case t.spatial != nil:
-		return t.spatial.Counter()
-	default:
-		return t.cluster.Counter()
-	}
+// queryPlane returns the tenant's composite fabric, or nil if it serves a
+// single query.
+func (t *tenant) queryPlane() *compositeFabric {
+	f, _ := t.fab.(*compositeFabric)
+	return f
 }
 
 // batch is one unit of shard work: events (all for this shard's tenants, in
@@ -346,124 +291,20 @@ func NewNodeLabeled(cfg Config, specs []TenantSpec, labels []int64) (*Node, erro
 }
 
 // buildTenant constructs one tenant for slot ti with the given seed label:
-// serving backend, protocol(s) (the factories run on the caller's
+// serving fabric, protocol(s) (the factories run on the caller's
 // goroutine), shard pinning. For a multi-query spec, withQueries controls
 // whether the spec's queries are built too (NewNode/AddTenant) or left for
-// the snapshot decoder to rebuild slot by slot (RestoreNode).
+// the snapshot decoder to rebuild slot by slot (restoreTenant).
 func (n *Node) buildTenant(spec TenantSpec, ti int, seedID int64, withQueries bool) (*tenant, error) {
-	if len(spec.SpatialInitial) > 0 {
-		return n.buildSpatialTenant(spec, ti, seedID)
-	}
-	if spec.NewSpatial != nil {
-		return nil, fmt.Errorf("runtime: tenant %d sets NewSpatial without SpatialInitial", ti)
-	}
-	if len(spec.Initial) == 0 {
-		return nil, fmt.Errorf("runtime: tenant %d has an empty stream partition", ti)
-	}
-	// A NaN initial value would reach the ranking indexes through the
-	// protocols' t0 probe fan-out, where it is a panic, not an error.
-	for s, v := range spec.Initial {
-		if math.IsNaN(v) {
-			return nil, fmt.Errorf("runtime: tenant %d initial value for stream %d is NaN", ti, s)
-		}
+	fab, err := newFabric(spec, ti, n.cfg.Seed, seedID, withQueries)
+	if err != nil {
+		return nil, err
 	}
 	name := spec.Name
 	if name == "" {
 		name = fmt.Sprintf("tenant-%d", ti)
 	}
-	t := &tenant{
-		name:   name,
-		shard:  ti % n.cfg.shards(),
-		seedID: seedID,
-	}
-	if len(spec.Queries) > 0 {
-		if spec.NewProtocol != nil {
-			return nil, fmt.Errorf("runtime: tenant %d sets both NewProtocol and Queries", ti)
-		}
-		if spec.Server != (server.Config{}) {
-			return nil, fmt.Errorf("runtime: tenant %d: Server config is not supported on multi-query tenants", ti)
-		}
-		for qi, qs := range spec.Queries {
-			if qs.NewProtocol == nil {
-				return nil, fmt.Errorf("runtime: tenant %d query %d has no protocol factory", ti, qi)
-			}
-		}
-		t.comp = server.NewComposite(spec.Initial)
-		if withQueries {
-			for qi, qs := range spec.Queries {
-				n.addQuerySlot(t, qs, int64(qi))
-			}
-			t.nextQuerySeed = int64(len(spec.Queries))
-		}
-		return t, nil
-	}
-	if spec.NewProtocol == nil {
-		return nil, fmt.Errorf("runtime: tenant %d has no protocol factory", ti)
-	}
-	cluster := server.NewClusterWith(spec.Initial, spec.Server)
-	proto := spec.NewProtocol(cluster, sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID))
-	cluster.SetProtocol(proto)
-	t.cluster = cluster
-	t.proto = proto
-	return t, nil
-}
-
-// buildSpatialTenant constructs a spatial (2-D) tenant: a private
-// server.SpatialCluster over the initial locations, its protocol built by
-// the NewSpatial factory with the same seed derivation single-query tenants
-// use.
-func (n *Node) buildSpatialTenant(spec TenantSpec, ti int, seedID int64) (*tenant, error) {
-	if spec.NewProtocol != nil || len(spec.Queries) > 0 || len(spec.Initial) > 0 {
-		return nil, fmt.Errorf("runtime: tenant %d mixes spatial and 1-D configuration", ti)
-	}
-	if spec.Server != (server.Config{}) {
-		return nil, fmt.Errorf("runtime: tenant %d: Server config is not supported on spatial tenants", ti)
-	}
-	if spec.NewSpatial == nil {
-		return nil, fmt.Errorf("runtime: tenant %d has no spatial protocol factory", ti)
-	}
-	// A NaN initial location would reach the spatial sources, where it is a
-	// panic, not an error.
-	for s, p := range spec.SpatialInitial {
-		if p.IsNaN() {
-			return nil, fmt.Errorf("runtime: tenant %d initial location for stream %d is NaN", ti, s)
-		}
-	}
-	name := spec.Name
-	if name == "" {
-		name = fmt.Sprintf("tenant-%d", ti)
-	}
-	t := &tenant{
-		name:   name,
-		shard:  ti % n.cfg.shards(),
-		seedID: seedID,
-	}
-	spatial := server.NewSpatialCluster(spec.SpatialInitial)
-	sproto := spec.NewSpatial(spatial, sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, seedID))
-	spatial.SetProtocol(sproto)
-	t.spatial = spatial
-	t.sproto = sproto
-	return t, nil
-}
-
-// querySeed derives query qid of tenant t's protocol seed from the node
-// seed and both admission labels.
-func (n *Node) querySeed(t *tenant, qid int64) int64 {
-	return sim.DeriveSeed(n.cfg.Seed, tenantSeedStream, t.seedID, querySeedStream, qid)
-}
-
-// addQuerySlot appends one query slot to a composite tenant, running the
-// protocol factory (on the caller's goroutine) with the slot's derived
-// seed. The slot is not initialized.
-func (n *Node) addQuerySlot(t *tenant, qs QuerySpec, qid int64) int {
-	name := qs.Name
-	if name == "" {
-		name = fmt.Sprintf("query-%d", t.comp.QuerySlots())
-	}
-	seed := n.querySeed(t, qid)
-	return t.comp.AddQuery(name, qid, func(h server.Host) server.Protocol {
-		return qs.NewProtocol(h, seed)
-	})
+	return &tenant{name: name, fab: fab, shard: ti % n.cfg.shards(), seedID: seedID}, nil
 }
 
 // initChannels sets up the shard channel pairs and buffer pools, publishes
@@ -513,7 +354,7 @@ func (n *Node) TenantName(ti int) string { return n.live(ti).name }
 // StreamCount returns the size of tenant ti's stream partition — the n
 // protocol parameters are validated against when a query is admitted onto
 // an already-running tenant (netserve's OpAddQuery path).
-func (n *Node) StreamCount(ti int) int { return n.live(ti).n() }
+func (n *Node) StreamCount(ti int) int { return n.live(ti).fab.n() }
 
 // Start launches the shard loops. Each loop first runs the initialization
 // phase of every tenant pinned to it (so t0 setup parallelizes across
@@ -559,7 +400,7 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 		if n.ctx.Err() != nil {
 			return
 		}
-		t.initialize()
+		t.fab.initialize()
 	}
 	for {
 		select {
@@ -577,7 +418,7 @@ func (n *Node) loop(sh *shard, owned []*tenant) {
 			}
 			for _, ev := range b.events {
 				t := n.tenants[ev.Tenant]
-				t.deliver(ev.Stream, ev.Value, ev.Y)
+				t.fab.deliver(ev.Stream, ev.Value, ev.Y)
 				t.events++
 			}
 			if b.events != nil {
@@ -715,46 +556,43 @@ func (n *Node) Stop() {
 // Answer returns a single-query tenant ti's current answer set. Only call
 // quiesced (after Drain or Stop). For multi-query tenants use QueryAnswer.
 func (n *Node) Answer(ti int) []stream.ID {
-	t := n.live(ti)
-	if t.comp != nil {
-		panic(fmt.Sprintf("runtime: tenant %d hosts %d queries; use QueryAnswer", ti, t.comp.QuerySlots()))
+	f, ok := n.live(ti).fab.(interface{ answer() []stream.ID })
+	if !ok {
+		panic(fmt.Sprintf("runtime: tenant %d hosts %d queries; use QueryAnswer", ti, n.NumQueries(ti)))
 	}
-	if t.spatial != nil {
-		return t.sproto.Answer()
-	}
-	return t.proto.Answer()
+	return f.answer()
 }
 
 // Counter returns tenant ti's message counter — for a multi-query tenant,
 // the single counter its whole composite fabric shares. Only call quiesced.
-func (n *Node) Counter(ti int) *comm.Counter { return n.live(ti).counter() }
+func (n *Node) Counter(ti int) *comm.Counter { return n.live(ti).fab.counter() }
 
 // MultiQuery reports whether tenant ti is served by a composite fabric.
-func (n *Node) MultiQuery(ti int) bool { return n.live(ti).comp != nil }
+func (n *Node) MultiQuery(ti int) bool { return n.live(ti).queryPlane() != nil }
 
-// comp returns tenant ti's composite fabric or panics — query-plane calls
-// on a single-query tenant are caller bugs, matching live's semantics.
-func (n *Node) comp(ti int) *server.Composite {
-	t := n.live(ti)
-	if t.comp == nil {
+// queryPlane returns tenant ti's composite fabric or panics — query-plane
+// calls on a single-query tenant are caller bugs, matching live's semantics.
+func (n *Node) queryPlane(ti int) *compositeFabric {
+	f := n.live(ti).queryPlane()
+	if f == nil {
 		panic(fmt.Sprintf("runtime: tenant %d is single-query; build it with Queries", ti))
 	}
-	return t.comp
+	return f
 }
 
 // NumQueries returns tenant ti's query slot count, including removed slots
 // (slot ids stay stable for the tenant's lifetime; see QueryAlive).
-func (n *Node) NumQueries(ti int) int { return n.comp(ti).QuerySlots() }
+func (n *Node) NumQueries(ti int) int { return n.queryPlane(ti).QuerySlots() }
 
 // QueryAlive reports whether query slot qi of tenant ti hosts a query.
-func (n *Node) QueryAlive(ti, qi int) bool { return n.comp(ti).QueryAlive(qi) }
+func (n *Node) QueryAlive(ti, qi int) bool { return n.queryPlane(ti).QueryAlive(qi) }
 
 // QueryName returns query qi of tenant ti's label.
-func (n *Node) QueryName(ti, qi int) string { return n.comp(ti).QueryName(qi) }
+func (n *Node) QueryName(ti, qi int) string { return n.queryPlane(ti).QueryName(qi) }
 
 // QueryAnswer returns query qi of tenant ti's current answer set. Only call
 // quiesced.
-func (n *Node) QueryAnswer(ti, qi int) []stream.ID { return n.comp(ti).Answer(qi) }
+func (n *Node) QueryAnswer(ti, qi int) []stream.ID { return n.queryPlane(ti).Answer(qi) }
 
 // Events returns how many events tenant ti has applied. Only call quiesced.
 func (n *Node) Events(ti int) uint64 { return n.live(ti).events }
@@ -766,7 +604,7 @@ func (n *Node) Totals() comm.Counter {
 	var total comm.Counter
 	for _, t := range n.tenants {
 		if t != nil {
-			total.Merge(t.counter())
+			total.Merge(t.fab.counter())
 		}
 	}
 	return total
@@ -821,7 +659,7 @@ func (n *Node) AddTenantLabeled(spec TenantSpec, label int64) (int, error) {
 	}
 	n.tenants = append(n.tenants, t)
 	n.publishTable()
-	if err := n.runOnShard(t.shard, t.initialize); err != nil {
+	if err := n.runOnShard(t.shard, t.fab.initialize); err != nil {
 		return 0, err
 	}
 	t.initialized = true
@@ -869,7 +707,8 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("runtime: tenant %d was removed", ti)
 	}
-	if t.comp == nil {
+	f := t.queryPlane()
+	if f == nil {
 		return 0, fmt.Errorf("runtime: tenant %d is single-query; build it with Queries", ti)
 	}
 	if spec.NewProtocol == nil {
@@ -878,11 +717,8 @@ func (n *Node) AddQuery(ti int, spec QuerySpec) (int, error) {
 	if err := n.drainLocked(); err != nil {
 		return 0, err
 	}
-	qid := t.nextQuerySeed
-	qi := n.addQuerySlot(t, spec, qid)
-	t.nextQuerySeed = qid + 1
-	comp := t.comp
-	if err := n.runOnShard(t.shard, func() { comp.InitializeQuery(qi) }); err != nil {
+	qi := f.addQuery(spec)
+	if err := n.runOnShard(t.shard, func() { f.InitializeQuery(qi) }); err != nil {
 		return 0, err
 	}
 	return qi, nil
@@ -907,13 +743,14 @@ func (n *Node) RemoveQuery(ti, qi int) error {
 	if t == nil {
 		return fmt.Errorf("runtime: tenant %d was removed", ti)
 	}
-	if t.comp == nil {
+	f := t.queryPlane()
+	if f == nil {
 		return fmt.Errorf("runtime: tenant %d is single-query; build it with Queries", ti)
 	}
 	if err := n.drainLocked(); err != nil {
 		return err
 	}
-	return t.comp.RemoveQuery(qi)
+	return f.RemoveQuery(qi)
 }
 
 // RemoveTenant evicts tenant ti from the live node. A drain barrier first

@@ -149,8 +149,8 @@ func TestMultiQueryMatchesSynchronousComposite(t *testing.T) {
 	}
 }
 
-// TestCompositeSharingBeatsIndependentTenants pins the acceptance
-// criterion carried over from the multiquery package: a composite tenant
+// TestCompositeSharingBeatsIndependentTenants pins the multi-query
+// extension's acceptance criterion on the runtime: a composite tenant
 // serving M queries must cost strictly fewer maintenance messages than M
 // independent single-query tenants watching the same partition.
 func TestCompositeSharingBeatsIndependentTenants(t *testing.T) {

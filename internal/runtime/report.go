@@ -68,27 +68,8 @@ func (n *Node) Report() *Report {
 		tr.Alive = true
 		tr.Name = t.name
 		tr.Events = t.events
-		tr.Counter = *t.counter()
-		if t.spatial != nil {
-			tr.Answer = append([]stream.ID(nil), t.sproto.Answer()...)
-			continue
-		}
-		if t.comp == nil {
-			tr.Answer = append([]stream.ID(nil), t.proto.Answer()...)
-			continue
-		}
-		tr.MultiQuery = true
-		tr.Queries = make([]QueryReport, t.comp.QuerySlots())
-		for qi := range tr.Queries {
-			if !t.comp.QueryAlive(qi) {
-				continue
-			}
-			tr.Queries[qi] = QueryReport{
-				Alive:  true,
-				Name:   t.comp.QueryName(qi),
-				Answer: append([]stream.ID(nil), t.comp.Answer(qi)...),
-			}
-		}
+		tr.Counter = *t.fab.counter()
+		t.fab.report(tr)
 	}
 	rep.Totals = n.Totals()
 	return rep

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 )
 
@@ -23,27 +22,22 @@ const (
 	SnapshotVersion = 3
 )
 
-// Per-tenant kind discriminators in version-3 snapshots.
-const (
-	tenantKindSingle  = 0
-	tenantKindMulti   = 1
-	tenantKindSpatial = 2
-)
-
 // Snapshot captures a barrier-consistent, versioned encoding of the node's
 // full tenant state: for every live slot, the server value table, message
 // counters, pending queue, every source's value/filter/side, the protocol's
 // dynamic state (including its selection-RNG position), and the event
-// count; for multi-query tenants, the whole composite fabric (ground
-// truth, shared table, per-stream constraint vectors and sides, the shared
-// counter, and every query slot's protocol state and seed label). It
-// drains first, so the snapshot reflects exactly the events ingested
-// before the call — the barrier every shard loop has passed.
+// count; for spatial tenants, the same over planar locations and regions;
+// for multi-query tenants, the whole composite fabric (ground truth, shared
+// table, per-stream constraint vectors and sides, the shared counter, and
+// every query slot's protocol state and seed label). It drains first, so
+// the snapshot reflects exactly the events ingested before the call — the
+// barrier every shard loop has passed.
 //
 // The encoding carries no placement information: a snapshot is
 // byte-identical no matter how many shards the node runs, and RestoreNode
 // may restore it at any shard count. Every hosted protocol must implement
-// server.StatefulProtocol (all of internal/core does).
+// server.StatefulProtocol (all of internal/core does) or, on a spatial
+// tenant, server.SpatialStatefulProtocol (both of internal/multidim do).
 //
 // Like the other control calls, Snapshot must be called from the single
 // control-side goroutine; its barrier quiesces concurrent ingesters first,
@@ -65,62 +59,90 @@ func (n *Node) Snapshot() ([]byte, error) {
 	w.Int64(n.nextSeedID)
 	w.Uint64(n.ingested.Load())
 	w.Int(len(n.tenants))
-	for ti, t := range n.tenants {
+	for _, t := range n.tenants {
 		w.Bool(t != nil)
 		if t == nil {
 			continue
 		}
-		w.Int64(tenantKind(t))
+		w.Int64(t.fab.kind())
 		w.String(t.name)
 		w.Int64(t.seedID)
-		switch {
-		case t.comp != nil:
-			w.Uint64(t.events)
-			w.Int64(t.nextQuerySeed)
-			t.comp.ExportState(w)
-		case t.spatial != nil:
-			// Spatial records keep the single-query field order — protocol
-			// name, event count, backend state, protocol state.
-			sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-			if !ok {
-				return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-					ti, t.name, t.sproto.Name())
-			}
-			w.String(t.sproto.Name())
-			w.Uint64(t.events)
-			t.spatial.ExportState(w)
-			sp.ExportState(w)
-		default:
-			// Single-query records keep the version-1 field order after the
-			// kind discriminator, so the v1 decode path below shares this
-			// layout.
-			sp, ok := t.proto.(server.StatefulProtocol)
-			if !ok {
-				return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-					ti, t.name, t.proto.Name())
-			}
-			w.String(t.proto.Name())
-			w.Uint64(t.events)
-			t.cluster.ExportState(w)
-			sp.ExportState(w)
-		}
+		t.fab.exportBody(w, t.events)
 	}
+	return seal(w)
+}
+
+// seal appends the crc32c trailer every node and tenant snapshot ends with.
+// The structural validation in the decoders catches truncation and
+// implausible values, but a flipped bit inside a float payload is a legal
+// encoding of different state — only an integrity check can tell. The
+// trailer is appended outside the Writer, which Bytes retires.
+func seal(w *snapshot.Writer) ([]byte, error) {
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	// Trailing checksum: the structural validation in RestoreNode catches
-	// truncation and implausible values, but a flipped bit inside a float
-	// payload is a legal encoding of different state — only an integrity
-	// check can tell. Appended outside the Writer, which Bytes retires.
 	payload := w.Bytes()
 	var trailer [8]byte
 	binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
 	return append(payload, trailer[:]...), nil
 }
 
+// unseal checks a sealed encoding's crc32c trailer, magic and version, and
+// returns a reader positioned after the version together with the version.
+// what names the encoding in errors.
+func unseal(data []byte, magic, what string, maxVersion uint64) (*snapshot.Reader, uint64, error) {
+	if len(data) < 8 {
+		return nil, 0, fmt.Errorf("runtime: not a %s", what)
+	}
+	payload, trailer := data[:len(data)-8], data[len(data)-8:]
+	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
+		return nil, 0, fmt.Errorf("runtime: %s checksum mismatch (stored %x, computed %x)", what, got, want)
+	}
+	r := snapshot.NewReader(payload)
+	if m := r.String(); r.Err() != nil || m != magic {
+		return nil, 0, fmt.Errorf("runtime: not a %s", what)
+	}
+	version := r.Uint64()
+	if r.Err() != nil || version < 1 || version > maxVersion {
+		return nil, 0, fmt.Errorf("runtime: unsupported %s version %d (have %d)", what, version, maxVersion)
+	}
+	return r, version, nil
+}
+
 // crcTable is the Castagnoli polynomial, hardware-accelerated on the
 // platforms the node serves from.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// tenantHeader is the per-tenant record header both snapshot encodings
+// carry, each in its own field order.
+type tenantHeader struct {
+	name         string
+	seedID, kind int64
+}
+
+// restoreTenant is the decode half both RestoreNode and ImportTenant share:
+// it builds tenant slot ti from spec without running its t0 phase, checks
+// the spec builds the recorded kind, and restores the record body. where
+// names the record in errors.
+func (n *Node) restoreTenant(r *snapshot.Reader, spec TenantSpec, ti int, h tenantHeader, where string) (*tenant, error) {
+	if h.kind < tenantKindSingle || h.kind > tenantKindSpatial {
+		return nil, fmt.Errorf("runtime: %s kind %d unknown", where, h.kind)
+	}
+	t, err := n.buildTenant(spec, ti, h.seedID, false)
+	if err != nil {
+		return nil, err
+	}
+	if got := t.fab.kind(); got != h.kind {
+		return nil, fmt.Errorf("runtime: %s holds a %s tenant, spec builds a %s tenant",
+			where, kindName(h.kind), kindName(got))
+	}
+	if t.events, err = t.fab.importBody(r); err != nil {
+		return nil, fmt.Errorf("runtime: %s: %w", where, err)
+	}
+	t.name = h.name
+	t.initialized = true
+	return t, nil
+}
 
 // RestoreNode rebuilds a node from a Snapshot. specs must describe the same
 // tenants as the snapshotting node, one per slot in slot order — including
@@ -135,24 +157,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // The restored node continues bit-identically: started (Start skips the t0
 // phase for restored tenants) and fed the events after the snapshot
 // barrier, its answers and counters match an uninterrupted run at any shard
-// count. Both encoding version 2 and the pre-query-plane version 1 are
-// accepted. Corrupted, truncated or mismatched snapshots return an error;
-// decoding never panics.
+// count. The current encoding (version 3) is accepted, as are version 2
+// (multi-query kind as a bool) and the pre-query-plane version 1.
+// Corrupted, truncated or mismatched snapshots return an error; decoding
+// never panics.
 func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("runtime: not a node snapshot")
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
-		return nil, fmt.Errorf("runtime: snapshot checksum mismatch (stored %x, computed %x)", got, want)
-	}
-	r := snapshot.NewReader(payload)
-	if magic := r.String(); r.Err() != nil || magic != snapshotMagic {
-		return nil, fmt.Errorf("runtime: not a node snapshot")
-	}
-	version := r.Uint64()
-	if r.Err() != nil || version < 1 || version > SnapshotVersion {
-		return nil, fmt.Errorf("runtime: unsupported snapshot version %d (have %d)", version, SnapshotVersion)
+	r, version, err := unseal(data, snapshotMagic, "node snapshot", SnapshotVersion)
+	if err != nil {
+		return nil, err
 	}
 	seed := r.Int64()
 	nextSeedID := r.Int64()
@@ -170,7 +182,6 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 	cfg.Seed = seed
 	n := &Node{cfg: cfg, nextSeedID: nextSeedID}
 	n.ingested.Store(ingested)
-	shards := cfg.shards()
 	for ti := 0; ti < slots; ti++ {
 		alive := r.Bool()
 		if err := r.Err(); err != nil {
@@ -184,152 +195,34 @@ func RestoreNode(cfg Config, specs []TenantSpec, data []byte) (*Node, error) {
 		// and carries no kind discriminator. Version 2 wrote the kind as a
 		// multi-query bool; version 3 widened it to an integer for spatial
 		// tenants.
-		kind := int64(tenantKindSingle)
+		var h tenantHeader
 		switch {
 		case version == 2:
 			if r.Bool() {
-				kind = tenantKindMulti
+				h.kind = tenantKindMulti
 			}
 		case version >= 3:
-			kind = r.Int64()
+			h.kind = r.Int64()
 		}
-		name := r.String()
-		seedID := r.Int64()
+		h.name = r.String()
+		h.seedID = r.Int64()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if kind < tenantKindSingle || kind > tenantKindSpatial {
-			return nil, fmt.Errorf("runtime: tenant %d snapshot kind %d unknown", ti, kind)
+		if h.seedID < 0 || h.seedID >= nextSeedID {
+			return nil, fmt.Errorf("runtime: tenant %d seed label %d outside [0,%d)", ti, h.seedID, nextSeedID)
 		}
-		if seedID < 0 || seedID >= nextSeedID {
-			return nil, fmt.Errorf("runtime: tenant %d seed label %d outside [0,%d)", ti, seedID, nextSeedID)
-		}
-		t, err := n.buildTenant(specs[ti], ti, seedID, false)
+		t, err := n.restoreTenant(r, specs[ti], ti, h, fmt.Sprintf("tenant %d snapshot", ti))
 		if err != nil {
 			return nil, err
 		}
-		if kind != tenantKind(t) {
-			return nil, fmt.Errorf("runtime: tenant %d snapshot holds a %s tenant, spec builds a %s tenant",
-				ti, kindName(kind), kindName(tenantKind(t)))
-		}
-		var events uint64
-		switch kind {
-		case tenantKindMulti:
-			events = r.Uint64()
-			if err := n.restoreComposite(r, t, specs[ti]); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
-		case tenantKindSpatial:
-			if events, err = restoreSpatial(r, t); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
-		default:
-			if events, err = restoreSingle(r, t); err != nil {
-				return nil, fmt.Errorf("runtime: tenant %d: %w", ti, err)
-			}
-		}
-		t.name = name
-		t.events = events
-		t.initialized = true
 		n.tenants = append(n.tenants, t)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	n.initChannels(shards)
+	n.initChannels(cfg.shards())
 	return n, nil
-}
-
-// kindName renders a kind discriminator for error messages.
-func kindName(kind int64) string {
-	switch kind {
-	case tenantKindMulti:
-		return "multi-query"
-	case tenantKindSpatial:
-		return "spatial"
-	default:
-		return "single-query"
-	}
-}
-
-// tenantKind returns a live tenant's version-3 kind discriminator.
-func tenantKind(t *tenant) int64 {
-	switch {
-	case t.comp != nil:
-		return tenantKindMulti
-	case t.spatial != nil:
-		return tenantKindSpatial
-	default:
-		return tenantKindSingle
-	}
-}
-
-// restoreSpatial decodes a spatial tenant record — protocol name, event
-// count, spatial-cluster state, protocol state — into the freshly built
-// tenant, returning the event count.
-func restoreSpatial(r *snapshot.Reader, t *tenant) (uint64, error) {
-	protoName := r.String()
-	events := r.Uint64()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if got := t.sproto.Name(); got != protoName {
-		return 0, fmt.Errorf("spec builds protocol %q, snapshot holds %q", got, protoName)
-	}
-	sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-	if !ok {
-		return 0, fmt.Errorf("protocol %q does not support snapshots", protoName)
-	}
-	if err := t.spatial.ImportState(r); err != nil {
-		return 0, fmt.Errorf("spatial cluster: %w", err)
-	}
-	return events, sp.ImportState(r)
-}
-
-// restoreSingle decodes a single-query tenant record — protocol name, event
-// count, cluster state, protocol state, in the version-1 field order — into
-// the freshly built tenant, returning the event count.
-func restoreSingle(r *snapshot.Reader, t *tenant) (uint64, error) {
-	protoName := r.String()
-	events := r.Uint64()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if got := t.proto.Name(); got != protoName {
-		return 0, fmt.Errorf("spec builds protocol %q, snapshot holds %q", got, protoName)
-	}
-	sp, ok := t.proto.(server.StatefulProtocol)
-	if !ok {
-		return 0, fmt.Errorf("protocol %q does not support snapshots", protoName)
-	}
-	if err := t.cluster.ImportState(r); err != nil {
-		return 0, fmt.Errorf("cluster: %w", err)
-	}
-	return events, sp.ImportState(r)
-}
-
-// restoreComposite decodes a multi-query tenant record: the query-admission
-// counter, then the whole composite fabric, rebuilding each live query slot
-// from the spec's QuerySpec at that slot with its recorded seed label.
-func (n *Node) restoreComposite(r *snapshot.Reader, t *tenant, spec TenantSpec) error {
-	nextQuerySeed := r.Int64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nextQuerySeed < 0 {
-		return fmt.Errorf("query admission counter %d negative", nextQuerySeed)
-	}
-	t.nextQuerySeed = nextQuerySeed
-	return t.comp.ImportState(r,
-		func(slot int, name string, seedID int64, h server.Host) (server.Protocol, error) {
-			if slot >= len(spec.Queries) {
-				return nil, fmt.Errorf("snapshot holds query slot %d, spec lists %d queries", slot, len(spec.Queries))
-			}
-			if seedID < 0 || seedID >= nextQuerySeed {
-				return nil, fmt.Errorf("query %d seed label %d outside [0,%d)", slot, seedID, nextQuerySeed)
-			}
-			return spec.Queries[slot].NewProtocol(h, n.querySeed(t, seedID)), nil
-		})
 }
 
 // TotalEvents returns how many events the node has accepted over its whole

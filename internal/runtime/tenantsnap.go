@@ -1,19 +1,16 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
-	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/snapshot"
 )
 
 // tenantSnapshotMagic and TenantSnapshotVersion head every single-tenant
 // snapshot — the migration primitive of the cluster layer (DESIGN.md §10).
-// A tenant snapshot is a node snapshot scoped to one slot: the same
-// per-tenant record layout, the same crc32c trailer, but no node-wide
-// header, so one tenant can leave a node without freezing the rest of the
+// A tenant snapshot is a node snapshot scoped to one slot: its own
+// per-tenant header, then the same record body and the same crc32c trailer
+// (seal/unseal), but no node-wide header, so one tenant can leave a node without freezing the rest of the
 // world longer than a drain barrier.
 const (
 	tenantSnapshotMagic = "adaptivefilters/tenant-snapshot"
@@ -25,9 +22,9 @@ const (
 )
 
 // ExportTenant captures a barrier-consistent, versioned encoding of one
-// tenant's full state: seed label, event count, the serving backend
-// (cluster or composite fabric) and every hosted protocol's dynamic state,
-// in exactly the per-tenant record layout node snapshots use. It drains
+// tenant's full state: seed label, event count, the serving fabric (private
+// cluster, spatial cluster or composite) and every hosted protocol's
+// dynamic state, in exactly the per-tenant record body node snapshots use. It drains
 // first, so the record reflects every event ingested before the call; the
 // other tenants stay live and keep their queued work.
 //
@@ -62,40 +59,9 @@ func (n *Node) ExportTenant(ti int) ([]byte, error) {
 	w.Int64(n.cfg.Seed)
 	w.String(t.name)
 	w.Int64(t.seedID)
-	w.Int64(tenantKind(t))
-	switch {
-	case t.comp != nil:
-		w.Uint64(t.events)
-		w.Int64(t.nextQuerySeed)
-		t.comp.ExportState(w)
-	case t.spatial != nil:
-		sp, ok := t.sproto.(server.SpatialStatefulProtocol)
-		if !ok {
-			return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-				ti, t.name, t.sproto.Name())
-		}
-		w.String(t.sproto.Name())
-		w.Uint64(t.events)
-		t.spatial.ExportState(w)
-		sp.ExportState(w)
-	default:
-		sp, ok := t.proto.(server.StatefulProtocol)
-		if !ok {
-			return nil, fmt.Errorf("runtime: tenant %d (%s) protocol %q does not support snapshots",
-				ti, t.name, t.proto.Name())
-		}
-		w.String(t.proto.Name())
-		w.Uint64(t.events)
-		t.cluster.ExportState(w)
-		sp.ExportState(w)
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	payload := w.Bytes()
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], uint64(crc32.Checksum(payload, crcTable)))
-	return append(payload, trailer[:]...), nil
+	w.Int64(t.fab.kind())
+	t.fab.exportBody(w, t.events)
+	return seal(w)
 }
 
 // ImportTenant admits a tenant onto the live node, restoring its state
@@ -117,89 +83,49 @@ func (n *Node) ImportTenant(spec TenantSpec, data []byte) (int, error) {
 	if !n.started || n.stopped {
 		return 0, fmt.Errorf("runtime: node not running")
 	}
-	if len(data) < 8 {
-		return 0, fmt.Errorf("runtime: not a tenant snapshot")
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	if got, want := binary.LittleEndian.Uint64(trailer), uint64(crc32.Checksum(payload, crcTable)); got != want {
-		return 0, fmt.Errorf("runtime: tenant snapshot checksum mismatch (stored %x, computed %x)", got, want)
-	}
-	r := snapshot.NewReader(payload)
-	if magic := r.String(); r.Err() != nil || magic != tenantSnapshotMagic {
-		return 0, fmt.Errorf("runtime: not a tenant snapshot")
-	}
-	version := r.Uint64()
-	if r.Err() != nil || version < 1 || version > TenantSnapshotVersion {
-		return 0, fmt.Errorf("runtime: unsupported tenant snapshot version %d (have %d)",
-			version, TenantSnapshotVersion)
+	r, version, err := unseal(data, tenantSnapshotMagic, "tenant snapshot", TenantSnapshotVersion)
+	if err != nil {
+		return 0, err
 	}
 	seed := r.Int64()
-	name := r.String()
-	seedID := r.Int64()
+	h := tenantHeader{name: r.String(), seedID: r.Int64()}
 	// Version 1 wrote the kind as a multi-query bool; version 2 uses the
 	// node snapshot's integer kinds.
-	kind := int64(tenantKindSingle)
 	if version == 1 {
 		if r.Bool() {
-			kind = tenantKindMulti
+			h.kind = tenantKindMulti
 		}
 	} else {
-		kind = r.Int64()
+		h.kind = r.Int64()
 	}
 	if err := r.Err(); err != nil {
 		return 0, err
-	}
-	if kind < tenantKindSingle || kind > tenantKindSpatial {
-		return 0, fmt.Errorf("runtime: tenant snapshot kind %d unknown", kind)
 	}
 	if seed != n.cfg.Seed {
 		return 0, fmt.Errorf("runtime: tenant snapshot was taken under node seed %d, this node runs %d",
 			seed, n.cfg.Seed)
 	}
-	if seedID < 0 {
-		return 0, fmt.Errorf("runtime: tenant snapshot seed label %d is negative", seedID)
+	if h.seedID < 0 {
+		return 0, fmt.Errorf("runtime: tenant snapshot seed label %d is negative", h.seedID)
 	}
 	for _, t := range n.tenants {
-		if t != nil && t.seedID == seedID {
-			return 0, fmt.Errorf("runtime: seed label %d already hosts tenant %q", seedID, t.name)
+		if t != nil && t.seedID == h.seedID {
+			return 0, fmt.Errorf("runtime: seed label %d already hosts tenant %q", h.seedID, t.name)
 		}
 	}
 	if err := n.drainLocked(); err != nil {
 		return 0, err
 	}
 	ti := len(n.tenants)
-	t, err := n.buildTenant(spec, ti, seedID, false)
+	t, err := n.restoreTenant(r, spec, ti, h, "tenant snapshot")
 	if err != nil {
 		return 0, err
-	}
-	if kind != tenantKind(t) {
-		return 0, fmt.Errorf("runtime: tenant snapshot holds a %s tenant, spec builds a %s tenant",
-			kindName(kind), kindName(tenantKind(t)))
-	}
-	var events uint64
-	switch kind {
-	case tenantKindMulti:
-		events = r.Uint64()
-		if err := n.restoreComposite(r, t, spec); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
-	case tenantKindSpatial:
-		if events, err = restoreSpatial(r, t); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
-	default:
-		if events, err = restoreSingle(r, t); err != nil {
-			return 0, fmt.Errorf("runtime: tenant snapshot: %w", err)
-		}
 	}
 	if err := r.Done(); err != nil {
 		return 0, err
 	}
-	t.name = name
-	t.events = events
-	t.initialized = true
-	if seedID >= n.nextSeedID {
-		n.nextSeedID = seedID + 1
+	if h.seedID >= n.nextSeedID {
+		n.nextSeedID = h.seedID + 1
 	}
 	// No t0 to run: the next work-channel send publishes the grown tenant
 	// table to the shard loops, exactly as AddTenant's barrier protocol does.

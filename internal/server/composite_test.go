@@ -3,12 +3,15 @@ package server_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"adaptivefilters/internal/comm"
 	"adaptivefilters/internal/core"
 	"adaptivefilters/internal/filter"
+	"adaptivefilters/internal/oracle"
 	"adaptivefilters/internal/query"
 	"adaptivefilters/internal/server"
 	"adaptivefilters/internal/sim"
@@ -402,5 +405,213 @@ func TestCompositeKindSemanticsMatchCluster(t *testing.T) {
 				t.Errorf("counter = %+v, cluster says %+v", got, want)
 			}
 		})
+	}
+}
+
+// rangeQuery is one standing range query with its fraction tolerance.
+type rangeQuery struct {
+	rng query.Range
+	tol core.FractionTolerance
+}
+
+func threeRangeQueries() []rangeQuery {
+	return []rangeQuery{
+		{query.NewRange(100, 300), core.FractionTolerance{EpsPlus: 0.3, EpsMinus: 0.3}},
+		{query.NewRange(250, 500), core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2}},
+		{query.NewRange(700, 900), core.FractionTolerance{EpsPlus: 0.4, EpsMinus: 0.4}},
+	}
+}
+
+// sharedFTNRP hosts one FT-NRP per range query on a single composite over
+// vals, each seeded from seed and its query index, and runs t0. Queries
+// never re-initialize: a per-query ProbeAll would defeat the shared-probe
+// economics, so depleted queries degrade to ZT-NRP as a lone FT-NRP would.
+func sharedFTNRP(vals []float64, qs []rangeQuery, seed int64) *server.Composite {
+	comp := server.NewComposite(vals)
+	for qi, q := range qs {
+		cfg := core.FTNRPConfig{
+			Tol:       q.tol,
+			Selection: core.SelectBoundaryNearest,
+			Seed:      sim.DeriveSeed(seed, int64(qi)),
+			Reinit:    core.ReinitNever,
+		}
+		comp.AddQuery(fmt.Sprintf("q%d", qi), int64(qi), func(h server.Host) server.Protocol {
+			return core.NewFTNRP(h, q.rng, cfg)
+		})
+	}
+	comp.Initialize()
+	return comp
+}
+
+// TestCompositeInitialAnswers checks the t0 answers of overlapping range
+// queries computed from one shared probe round.
+func TestCompositeInitialAnswers(t *testing.T) {
+	comp := sharedFTNRP([]float64{150, 275, 450, 800, 50}, threeRangeQueries(), 1)
+	want := [][]int{{0, 1}, {1, 2}, {3}}
+	for qi, w := range want {
+		got := append([]int(nil), comp.Answer(qi)...)
+		sort.Ints(got)
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("q%d answer = %v, want %v", qi, got, w)
+		}
+	}
+	if comp.QuerySlots() != 3 || comp.N() != 5 {
+		t.Fatalf("QuerySlots/N = %d/%d", comp.QuerySlots(), comp.N())
+	}
+}
+
+// TestCompositeSingleMessageCoversAllQueries: a value change crossing two
+// query boundaries at once costs one update message.
+func TestCompositeSingleMessageCoversAllQueries(t *testing.T) {
+	comp := sharedFTNRP([]float64{275}, []rangeQuery{ // inside both ranges
+		{rng: query.NewRange(100, 300)},
+		{rng: query.NewRange(250, 500)},
+	}, 1)
+	before := comp.Counter().Maintenance()
+	comp.Deliver(0, 600) // leaves both ranges
+	if got := comp.Counter().Maintenance() - before; got != 1 {
+		t.Fatalf("double crossing cost %d messages, want 1", got)
+	}
+	if len(comp.Answer(0)) != 0 || len(comp.Answer(1)) != 0 {
+		t.Fatalf("answers = %v / %v, want empty", comp.Answer(0), comp.Answer(1))
+	}
+}
+
+// TestCompositeNoCrossingIsSilent: a move that crosses no boundary sends
+// nothing.
+func TestCompositeNoCrossingIsSilent(t *testing.T) {
+	comp := sharedFTNRP([]float64{275}, []rangeQuery{{rng: query.NewRange(100, 300)}}, 1)
+	before := comp.Counter().Maintenance()
+	comp.Deliver(0, 280)
+	if got := comp.Counter().Maintenance(); got != before {
+		t.Fatal("in-range move produced a message")
+	}
+}
+
+// TestCompositeFractionInvariantPerQuery checks every query's answer
+// against its own fraction tolerance after every event of a random walk.
+func TestCompositeFractionInvariantPerQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n := 80
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	qs := threeRangeQueries()
+	chk := oracle.New(vals)
+	comp := sharedFTNRP(vals, qs, 7)
+	for step := 0; step < 4000; step++ {
+		id := rng.Intn(n)
+		vals[id] += rng.NormFloat64() * 60
+		chk.Apply(id, vals[id])
+		comp.Deliver(id, vals[id])
+		for qi, q := range qs {
+			if err := chk.CheckFractionRange(comp.Answer(qi), q.rng, q.tol); err != nil {
+				t.Fatalf("step %d query %d: %v", step, qi, err)
+			}
+		}
+	}
+}
+
+// TestCompositeSilentStreamsCount: with a single query, streams silenced
+// for it are fully shut down.
+func TestCompositeSilentStreamsCount(t *testing.T) {
+	vals := []float64{150, 160, 170, 180, 900, 910, 920, 930}
+	comp := sharedFTNRP(vals, []rangeQuery{{
+		rng: query.NewRange(100, 300),
+		tol: core.FractionTolerance{EpsPlus: 0.5, EpsMinus: 0.5},
+	}}, 1)
+	// n+ = floor(4·0.5) = 2, n- = floor(4·0.5·0.5/0.5) = 2 → 4 silent.
+	if got := comp.SilentStreams(); got != 4 {
+		t.Fatalf("SilentStreams = %d, want 4", got)
+	}
+}
+
+// randomMoves pre-generates a random walk of steps moves over vals.
+func randomMoves(rng *rand.Rand, vals []float64, steps int, sigma float64) [][2]float64 {
+	cur := append([]float64(nil), vals...)
+	moves := make([][2]float64, steps) // (id, value)
+	for s := range moves {
+		id := rng.Intn(len(cur))
+		cur[id] += rng.NormFloat64() * sigma
+		moves[s] = [2]float64{float64(id), cur[id]}
+	}
+	return moves
+}
+
+// TestCompositeSharedBeatsIndependentClusters is the point of the
+// extension: one composite-filtered population costs fewer messages than
+// one cluster per query.
+func TestCompositeSharedBeatsIndependentClusters(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	vals := make([]float64, 100)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	moves := randomMoves(rng, vals, 8000, 50)
+	qs := threeRangeQueries()
+
+	comp := sharedFTNRP(vals, qs, 3)
+	for _, mv := range moves {
+		comp.Deliver(int(mv[0]), mv[1])
+	}
+	shared := comp.Counter().Maintenance()
+
+	var independent uint64
+	for _, q := range qs {
+		c := server.NewCluster(vals)
+		c.SetProtocol(core.NewFTNRP(c, q.rng, core.FTNRPConfig{
+			Tol: q.tol, Selection: core.SelectBoundaryNearest, Seed: 3,
+		}))
+		c.Initialize()
+		for _, mv := range moves {
+			c.Deliver(int(mv[0]), mv[1])
+		}
+		independent += c.Counter().Maintenance()
+	}
+	if shared >= independent {
+		t.Fatalf("shared = %d messages, independent = %d; sharing must win", shared, independent)
+	}
+}
+
+// TestCompositeAnswersMatchIndependentFTNRP: with zero tolerance every
+// shared answer is exact, and so equals what an independent FT-NRP cluster
+// per query reports.
+func TestCompositeAnswersMatchIndependentFTNRP(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	n := 60
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	qs := []rangeQuery{{rng: query.NewRange(100, 300)}, {rng: query.NewRange(250, 500)}}
+	chk := oracle.New(vals)
+	comp := sharedFTNRP(vals, qs, 1)
+	clusters := make([]*server.Cluster, len(qs))
+	for qi, q := range qs {
+		c := server.NewCluster(vals)
+		c.SetProtocol(core.NewFTNRP(c, q.rng, core.FTNRPConfig{Selection: core.SelectBoundaryNearest, Seed: 1}))
+		c.Initialize()
+		clusters[qi] = c
+	}
+	sorted := func(ids []int) []int {
+		ids = append([]int(nil), ids...)
+		sort.Ints(ids)
+		return ids
+	}
+	for step := 0; step < 3000; step++ {
+		id := rng.Intn(n)
+		v := rng.Float64() * 1000
+		chk.Apply(id, v)
+		comp.Deliver(id, v)
+		for qi, q := range qs {
+			clusters[qi].Deliver(id, v)
+			if err := chk.CheckFractionRange(comp.Answer(qi), q.rng, core.FractionTolerance{}); err != nil {
+				t.Fatalf("step %d query %d: %v", step, qi, err)
+			}
+			if got, want := sorted(comp.Answer(qi)), sorted(clusters[qi].Protocol().Answer()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d query %d: answer = %v, independent FT-NRP says %v", step, qi, got, want)
+			}
+		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 // communication primitives (probes, installs), the server value table and
 // the computation metric. A *Cluster is the canonical Host, but anything
 // that can answer probes, deploy filters and account messages — a per-query
-// view inside multiquery.Manager, a tenant slot inside runtime.Node, a mock
-// in tests — can host a protocol. Every message a protocol can cause flows
+// view inside a Composite, a tenant slot inside runtime.Node, a mock in
+// tests — can host a protocol. Every message a protocol can cause flows
 // through this interface, so accounting stays exact no matter who hosts it.
 type Host interface {
 	// N returns the number of streams.
