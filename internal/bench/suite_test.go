@@ -545,8 +545,9 @@ func runSharingSide(b *testing.B, name string, specs []runtime.TenantSpec,
 // every M > 1. Two composite-only points at M = 64 and 256 then stress the
 // per-stream query index: cmd/benchgate's near-flat rule bounds their
 // per-event cost at a fixed factor of M = 1, which a return to linear
-// constraint scanning cannot satisfy. All figures land in BENCH_suite.json
-// under the gate.
+// constraint scanning cannot satisfy. A last composite-only point
+// (composite-dense/m=64) gates the crossing-heavy path those dormant
+// populations skip. All figures land in BENCH_suite.json under the gate.
 func BenchmarkMultiQuerySharing(b *testing.B) {
 	const (
 		streams   = 300
@@ -640,6 +641,51 @@ func BenchmarkMultiQuerySharing(b *testing.B) {
 				compSpecs, compBatches, steps, msgs)
 		})
 	}
+
+	// Dense point: 64 overlapping FT-NRP ranges of width 150 over 1000
+	// walking streams (σ = 20), so most events cross some query's
+	// boundaries and report — the shape of a crossing-heavy composite
+	// tenant, where the boundary walk, band-free class evaluation and the
+	// per-query fan-out all run on every event. Its per-event cost tracks
+	// the crossings, not M = 1, so it sits outside the near-flat rule.
+	const denseStreams, denseM = 1000, 64
+	denseInitial, denseMoves := walk(denseStreams, steps, 31)
+	var denseBatches [][]runtime.Event
+	for start := 0; start < len(denseMoves); start += batchSize {
+		end := min(start+batchSize, len(denseMoves))
+		batch := make([]runtime.Event, 0, end-start)
+		for _, mv := range denseMoves[start:end] {
+			batch = append(batch, runtime.Event{Tenant: 0, Stream: mv.id, Value: mv.v})
+		}
+		denseBatches = append(denseBatches, batch)
+	}
+	denseSpecs := []runtime.TenantSpec{{Name: "mq", Initial: denseInitial, Queries: mqDenseQueries(denseM)}}
+	denseMsgs := runNodeOnce(b, denseSpecs, denseBatches)
+	b.Run(fmt.Sprintf("composite-dense/m=%d", denseM), func(b *testing.B) {
+		runSharingSide(b, fmt.Sprintf("multi-query-sharing/composite-dense/m=%d", denseM),
+			denseSpecs, denseBatches, steps, denseMsgs)
+	})
+}
+
+// mqDenseQueries builds m FT-NRP range queries of width 150 whose lower
+// ends spread evenly over [0, 850], so neighbouring ranges overlap and
+// every value in [0, 1000] sits inside about eleven of them.
+func mqDenseQueries(m int) []runtime.QuerySpec {
+	qs := make([]runtime.QuerySpec, m)
+	for j := range qs {
+		lo := float64(j) * 850 / float64(m-1)
+		qs[j] = runtime.QuerySpec{
+			Name: fmt.Sprintf("q%d", j),
+			NewProtocol: func(h server.Host, seed int64) server.Protocol {
+				return core.NewFTNRP(h, query.NewRange(lo, lo+150), core.FTNRPConfig{
+					Tol:       core.FractionTolerance{EpsPlus: 0.2, EpsMinus: 0.2},
+					Selection: core.SelectBoundaryNearest,
+					Seed:      seed,
+				})
+			},
+		}
+	}
+	return qs
 }
 
 // benchSpatialSpecs builds the spatial tenant population: alternating

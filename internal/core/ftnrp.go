@@ -72,12 +72,14 @@ type FTNRP struct {
 
 	// Reusable scratch for the (re-)initialization fan-out, so protocol
 	// re-initializations triggered from the maintenance path allocate
-	// nothing once warm: the probe table, the inside/outside candidate
-	// partitions, the selection keys and the selection sorter.
-	valsBuf               []float64
-	insideBuf, outsideBuf []int
-	keyBuf                []float64
-	ks                    keyedSorter
+	// nothing: the probe table, the candidate ids (inside the range first,
+	// then outside), the selection keys and the selection sorter. The id
+	// and key buffers are sized to the whole population on first use, so
+	// no later answer-set size can outgrow them.
+	valsBuf []float64
+	partBuf []int
+	keyBuf  []float64
+	ks      keyedSorter
 
 	// Reinits counts maintenance-phase re-initializations (for reports).
 	Reinits uint64
@@ -92,7 +94,7 @@ func NewFTNRP(c server.Host, rng query.Range, cfg FTNRPConfig) *FTNRP {
 	return &FTNRP{
 		c: c, rng: rng, cfg: cfg,
 		sel: sim.NewRNG(cfg.Seed).Split(ftnrpSelStream),
-		ans: newIntSet(), fp: newIntSet(), fn: newIntSet(),
+		ans: newIntSet(c.N()), fp: newIntSet(c.N()), fn: newIntSet(c.N()),
 	}
 }
 
@@ -131,7 +133,18 @@ func (p *FTNRP) assignFromTable(vals []float64) {
 	p.fp.clear()
 	p.fn.clear()
 	p.count = 0
-	inside, outside := p.insideBuf[:0], p.outsideBuf[:0]
+	if cap(p.partBuf) < len(vals) {
+		p.partBuf = make([]int, len(vals))
+		p.keyBuf = make([]float64, 0, len(vals))
+	}
+	k := 0
+	for _, v := range vals {
+		if p.rng.Contains(v) {
+			k++
+		}
+	}
+	part := p.partBuf[:len(vals)]
+	inside, outside := part[:0:k], part[k:k]
 	for id, v := range vals {
 		if p.rng.Contains(v) {
 			p.ans.add(id)
@@ -140,7 +153,6 @@ func (p *FTNRP) assignFromTable(vals []float64) {
 			outside = append(outside, id)
 		}
 	}
-	p.insideBuf, p.outsideBuf = inside, outside
 	nPlus := p.cfg.Tol.MaxFalsePositives(len(inside))
 	nMinus := p.cfg.Tol.MaxFalseNegatives(len(inside))
 	for _, id := range p.pickSilent(inside, vals, nPlus) {

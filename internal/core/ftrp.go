@@ -87,7 +87,7 @@ func NewFTRP(c server.Host, q query.Center, k int, cfg FTRPConfig) *FTRP {
 	p := &FTRP{
 		c: c, q: q, k: k, cfg: cfg,
 		sel: sim.NewRNG(cfg.Seed).Split(ftrpSelStream),
-		ans: newIntSet(), fp: newIntSet(), fn: newIntSet(),
+		ans: newIntSet(c.N()), fp: newIntSet(c.N()), fn: newIntSet(c.N()),
 	}
 	p.rhoPlus, p.rhoMinus = cfg.Tol.DeriveRho(cfg.Lambda)
 	p.nPlusBudget = int(float64(k) * p.rhoPlus)

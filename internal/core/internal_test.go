@@ -12,7 +12,7 @@ import (
 )
 
 func TestIntSetBasics(t *testing.T) {
-	s := newIntSet()
+	s := newIntSet(4) // ids past the initial size grow the bitmap
 	if s.len() != 0 {
 		t.Fatalf("fresh set len = %d", s.len())
 	}

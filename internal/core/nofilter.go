@@ -19,7 +19,7 @@ type NoFilterRange struct {
 
 // NewNoFilterRange returns the baseline protocol for the given range query.
 func NewNoFilterRange(c server.Host, rng query.Range) *NoFilterRange {
-	return &NoFilterRange{c: c, rng: rng, ans: newIntSet()}
+	return &NoFilterRange{c: c, rng: rng, ans: newIntSet(c.N())}
 }
 
 // Name implements server.Protocol.

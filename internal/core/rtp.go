@@ -55,7 +55,7 @@ func NewRTP(c server.Host, q query.Center, tol RankTolerance) *RTP {
 		panic(fmt.Sprintf("core: rank tolerance k+r=%d needs at least %d streams, have %d",
 			tol.Eps(), tol.Eps()+1, c.N()))
 	}
-	return &RTP{c: c, q: q, tol: tol, inA: newIntSet(), inX: newIntSet()}
+	return &RTP{c: c, q: q, tol: tol, inA: newIntSet(c.N()), inX: newIntSet(c.N())}
 }
 
 // Name implements server.Protocol.

@@ -106,15 +106,16 @@ func (ks *keyedSorter) Swap(i, j int) {
 // intSet is a small deterministic set of dense stream ids (0..n-1) used for
 // answer and filter bookkeeping. It is a membership bitmap rather than a
 // map: add/remove/has are branch-and-store on a slice, clear keeps the
-// backing storage, and iteration is naturally in ascending id order — so
-// the steady-state maintenance path allocates nothing once the bitmap has
-// grown to the stream count.
+// backing storage, and iteration is naturally in ascending id order. The
+// bitmap starts at the stream count, so the maintenance path never grows
+// it.
 type intSet struct {
 	bits []bool
 	n    int
 }
 
-func newIntSet() intSet { return intSet{} }
+// newIntSet returns an empty set over stream ids 0..n-1.
+func newIntSet(n int) intSet { return intSet{bits: make([]bool, n)} }
 
 func (s *intSet) add(id int) {
 	if id >= len(s.bits) {

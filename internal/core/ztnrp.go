@@ -18,7 +18,7 @@ type ZTNRP struct {
 
 // NewZTNRP returns the zero-tolerance range protocol.
 func NewZTNRP(c server.Host, rng query.Range) *ZTNRP {
-	return &ZTNRP{c: c, rng: rng, ans: newIntSet()}
+	return &ZTNRP{c: c, rng: rng, ans: newIntSet(c.N())}
 }
 
 // Name implements server.Protocol.

@@ -38,7 +38,7 @@ func NewZTRP(c server.Host, q query.Center, k int) *ZTRP {
 	if k <= 0 || k >= c.N() {
 		panic(fmt.Sprintf("core: zt-rp needs 1 <= k < n, got k=%d n=%d", k, c.N()))
 	}
-	return &ZTRP{c: c, q: q, k: k, ans: newIntSet()}
+	return &ZTRP{c: c, q: q, k: k, ans: newIntSet(c.N())}
 }
 
 // Name implements server.Protocol.

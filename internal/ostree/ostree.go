@@ -4,11 +4,10 @@
 // It is the ranking substrate used by the server-side no-filter baseline and
 // by the ground-truth oracle: it answers "how many streams have a value less
 // than v" and "which key holds rank i" in O(log n), which is what both rank
-// verification (Definition 1 of the paper) and k-NN ground truth need. It is
-// also the boundary index of the composite query plane (server/queryindex),
-// which puts Insert/Delete/AppendRange on the ingest hot path: deleted nodes
-// are recycled through an internal free list, so steady-state churn
-// allocates nothing.
+// verification (Definition 1 of the paper) and k-NN ground truth need. Both
+// reach it through internal/rankindex, which moves a key (Delete, then
+// Insert) on every value change: deleted nodes are recycled through an
+// internal free list, so steady-state churn allocates nothing.
 //
 // Keys are unique: two streams may carry the same value but never the same
 // (value, id) pair. Ordering is by value first, id second, which gives a
@@ -344,62 +343,6 @@ func (t *Tree) Ascend(fn func(Key) bool) {
 		return walk(n.right)
 	}
 	walk(t.root)
-}
-
-// AppendRange appends every stored key k with ge <= k <= le (inclusive, in
-// increasing order) to dst and returns the extended slice. Unlike Ascend it
-// takes no callback, so a caller holding a pre-grown dst pays zero
-// allocations — this is the composite query index's boundary walk. NaN
-// bounds match nothing.
-func (t *Tree) AppendRange(ge, le Key, dst []Key) []Key {
-	if math.IsNaN(ge.V) || math.IsNaN(le.V) || le.Less(ge) {
-		return dst
-	}
-	return appendRange(t.root, ge, le, dst)
-}
-
-func appendRange(n *node, ge, le Key, dst []Key) []Key {
-	if n == nil {
-		return dst
-	}
-	if n.key.Less(ge) {
-		return appendRange(n.right, ge, le, dst)
-	}
-	if le.Less(n.key) {
-		return appendRange(n.left, ge, le, dst)
-	}
-	dst = appendRange(n.left, ge, le, dst)
-	dst = append(dst, n.key)
-	return appendRange(n.right, ge, le, dst)
-}
-
-// BracketValue returns the widest open interval (lo, hi) around v that
-// contains no stored key values: lo is the largest key value below v (−Inf
-// when none) and hi the smallest above (+Inf when none). exact reports that
-// some key's value equals v itself — the open interval excludes it, so a
-// caller caching (lo, hi) as a "no boundaries here" certificate must treat
-// exact as a refusal. A NaN v admits no ordering and reports exact.
-// One O(log n) descent, no allocation.
-func (t *Tree) BracketValue(v float64) (lo, hi float64, exact bool) {
-	lo, hi = math.Inf(-1), math.Inf(1)
-	n := t.root
-	for n != nil {
-		switch {
-		case n.key.V < v:
-			if n.key.V > lo {
-				lo = n.key.V
-			}
-			n = n.right
-		case n.key.V > v:
-			if n.key.V < hi {
-				hi = n.key.V
-			}
-			n = n.left
-		default: // a key value equal to v (or a NaN v: unordered)
-			return lo, hi, true
-		}
-	}
-	return lo, hi, false
 }
 
 // Keys returns all keys in increasing order. Intended for tests and small

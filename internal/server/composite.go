@@ -258,6 +258,10 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 	c.ctr.Add(comm.Update, 1)
 	c.table[s] = v
 	c.known[s] = true
+	if c.idx != nil {
+		c.fanOut(s, v)
+		return
+	}
 	row := c.cons[s]
 	for qi, q := range c.queries {
 		if q == nil {
@@ -273,6 +277,29 @@ func (c *Composite) Deliver(s stream.ID, v float64) {
 		}
 		q.proto.HandleUpdate(s, v)
 	}
+}
+
+// fanOut is Deliver's per-query loop on the indexed path. It reads the
+// index's slot row — for a live slot, catNone holds exactly when the entry
+// is silent (queryIndex.set establishes it on every mutation, including
+// installs a sibling's HandleUpdate makes mid-loop) — instead of testing
+// each constraint. The skipped lookups are charged in one AddServerOps
+// after the loop: the total matches the linear path's per-slot charges,
+// and nothing reads the counter in between.
+func (c *Composite) fanOut(s stream.ID, v float64) {
+	classOf := c.idx.streams[s].classOf
+	var silent uint64
+	for qi, q := range c.queries {
+		if q == nil {
+			continue
+		}
+		if classOf[qi] == catNone {
+			silent++
+			continue
+		}
+		q.proto.HandleUpdate(s, v)
+	}
+	c.ctr.AddServerOps(silent)
 }
 
 // deliverScan is the linear crossing-detection reference: it walks every

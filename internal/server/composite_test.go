@@ -615,3 +615,92 @@ func TestCompositeAnswersMatchIndependentFTNRP(t *testing.T) {
 		}
 	}
 }
+
+// bandWatch wraps a band-installing protocol and counts the updates on
+// which its own band entry fired: a fired band re-centers exactly on the
+// reported value, which no other report leaves behind.
+type bandWatch struct {
+	server.Protocol
+	c     *server.Composite
+	slot  int
+	fires int
+}
+
+func (w *bandWatch) HandleUpdate(id int, v float64) {
+	if cons := w.c.Constraint(id, w.slot); cons.Kind == filter.Band && cons.BandCenter() == v {
+		w.fires++
+	}
+	w.Protocol.HandleUpdate(id, v)
+}
+
+// TestCompositeDeliverAllocatesNothing pins the indexed delivery path at
+// zero allocations once warm, on a dense composite shaped like a
+// crossing-heavy tenant: 1000 random-walk streams (σ = 20) under 64
+// overlapping FT-NRP range queries of width 150, whose Fix_Error installs
+// keep inserting and deleting class boundaries, plus two VB-kNN queries
+// whose bands re-center on every fire. Every pass walks on into fresh
+// values — a replayed walk settles FT-NRP's slack count and stops
+// Fix_Error — so nothing may rely on a replay having grown scratch first:
+// the index reserves its per-stream arrays at query admission, and boundary
+// inserts and the guard recompute must stay within them. The test also
+// checks that both kinds of mutation fired inside the measured window.
+func TestCompositeDeliverAllocatesNothing(t *testing.T) {
+	const (
+		n       = 1000
+		queries = 64
+		events  = 10000
+		warm    = 1
+		runs    = 3
+	)
+	rng := rand.New(rand.NewSource(61))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.Float64() * 1000
+	}
+	// AllocsPerRun calls the pass once more than runs.
+	moves := randomMoves(rng, vals, events*(warm+runs+1), 20)
+
+	c := server.NewComposite(vals)
+	for j := 0; j < queries; j++ {
+		lo := float64(j) * 850 / (queries - 1)
+		c.AddQuery(fmt.Sprintf("r%d", j), int64(j), ftnrpFactory(lo, lo+150, 0.2, int64(j)+1))
+	}
+	var watches []*bandWatch
+	for j := 0; j < 2; j++ {
+		w := &bandWatch{c: c}
+		center := 300 + 400*float64(j)
+		w.slot = c.AddQuery(fmt.Sprintf("vb%d", j), int64(queries+j), func(h server.Host) server.Protocol {
+			w.Protocol = core.NewVBKNN(h, query.KNN{Q: query.At(center), K: 10}, 30)
+			return w
+		})
+		watches = append(watches, w)
+	}
+	c.Initialize()
+
+	pass := func() {
+		for _, mv := range moves[:events] {
+			c.Deliver(int(mv[0]), mv[1])
+		}
+		moves = moves[events:]
+	}
+	for i := 0; i < warm; i++ {
+		pass() // settle every protocol past its t0 state
+	}
+	installs := c.Counter().Get(comm.Maintenance, comm.Install)
+	fires := 0
+	for _, w := range watches {
+		fires -= w.fires
+	}
+	if allocs := testing.AllocsPerRun(runs, pass); allocs != 0 {
+		t.Fatalf("warm composite delivery allocated %.1f objects per pass, want 0", allocs)
+	}
+	if c.Counter().Get(comm.Maintenance, comm.Install) == installs {
+		t.Fatal("no FT-NRP install fired inside the measured window")
+	}
+	for _, w := range watches {
+		fires += w.fires
+	}
+	if fires == 0 {
+		t.Fatal("no band re-centered inside the measured window")
+	}
+}

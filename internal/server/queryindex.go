@@ -2,20 +2,21 @@ package server
 
 import (
 	"math"
+	"slices"
 
 	"adaptivefilters/internal/filter"
-	"adaptivefilters/internal/ostree"
 )
 
 // This file makes Composite.Deliver sub-linear in the number of standing
 // queries M. The linear fabric walks all M constraint entries of the
 // delivered stream on every update; at M=256 that scan dominates ingest
 // even though almost no entry can possibly cross. The query index replaces
-// only that crossing-detection scan — the report path (counter charges,
-// table refresh, per-query HandleUpdate fan-out) is untouched, so message
-// accounting and protocol trajectories stay bit-identical to the linear
-// evaluation (pinned by the equivalence tests and the runtime property
-// harness).
+// that crossing-detection scan, and its slot row answers the report
+// fan-out's per-query silence test; the report path's effects (counter
+// charges, table refresh, which queries' HandleUpdate runs) are unchanged,
+// so message accounting and protocol trajectories stay bit-identical to
+// the linear evaluation (pinned by the equivalence tests and the runtime
+// property harness).
 //
 // Two structures per stream:
 //
@@ -25,14 +26,17 @@ import (
 //     update instead of once per query. M queries installing the same band
 //     cost one check, not M.
 //
-//   - The finite boundaries of each class's inside region live in an
-//     order-statistic treap (ostree) keyed by (boundary value, class id).
-//     A value move u→v can only change Contains for a class with a boundary
-//     inside [min(u,v), max(u,v)] — the proven fabric invariant is that
-//     inside[s][q] == cons[s][q].Contains(vals[s]) at all times, so an
-//     interval crossing is exactly a sign change of Contains over the move.
-//     Deliver therefore walks AppendRange(u, v) — O(log M + hits) — instead
-//     of all M entries.
+//   - The finite boundaries of each class's inside region live in one
+//     sorted slice per stream (boundSet), keyed by (boundary value, class
+//     boundary id). A value move u→v can only change Contains for a class
+//     with a boundary inside [min(u,v), max(u,v)] — the proven fabric
+//     invariant is that inside[s][q] == cons[s][q].Contains(vals[s]) at all
+//     times, so an interval crossing is exactly a sign change of Contains
+//     over the move. Deliver therefore reads the window between two binary
+//     searches — O(log M + hits) — instead of all M entries. The slice is
+//     contiguous on purpose: a tenant's whole boundary state stays a few
+//     dense arrays rather than thousands of scattered tree nodes, so it
+//     survives in cache while other tenants interleave.
 //
 // Three escape hatches keep the walk exactly equivalent to the scan:
 //
@@ -63,9 +67,12 @@ import (
 // is unchanged and index state can never drift from fabric state across a
 // save/load cycle.
 //
-// Everything on the Deliver path reuses scratch owned by the index
-// (boundary key buffer, touched-class list, treap nodes via ostree's free
-// list), keeping the steady-state ingest path at 0 allocs/op.
+// Everything on the Deliver path reuses scratch owned by the index (the
+// touched-class list, each boundary slice's capacity), keeping the
+// steady-state ingest path at 0 allocs/op. classOf doubles as the fan-out's
+// compact silence row: for a live slot, catNone holds exactly when the
+// entry is silent, so Composite.Deliver reads 4 bytes per query instead of
+// re-testing each constraint.
 
 // enableQueryIndex gates the indexed Deliver path for composites built
 // after it changes. Production always runs indexed; equivalence tests
@@ -92,29 +99,36 @@ const (
 // bit-identical constraint (and recorded side, for intervals).
 type qclass struct {
 	cons       filter.Constraint
-	slots      []int32 // member query slots, unordered
-	stamp      uint64  // last deliver generation this class was evaluated in
+	head       int32  // first member slot in the stream's member lists; -1 when empty
+	size       int32  // member count
+	stamp      uint64 // last deliver generation this class was evaluated in
 	live       bool
 	armed      bool // on the always-evaluate list
 	structural bool // degenerate band: stays armed until rewritten
 }
 
-// qstream is one stream's index: its classes, their boundary treap, and the
+// qstream is one stream's index: its classes, their boundary set, and the
 // escape-hatch lists.
 type qstream struct {
-	bounds  ostree.Tree
+	bounds  boundSet
 	classes []qclass
 	freeCls []int32 // recycled class ids
 	classOf []int32 // per query slot: class id, catNone or catAlways
 	armed   []int32 // class ids to evaluate on every update
 	always  int     // live filter.None entries
 
+	// next and prev thread each class's members into a doubly linked list
+	// through the slot index (-1 ends a list), so membership lives in two
+	// flat per-slot arrays rather than one slice per class.
+	next, prev []int32
+
 	// guard caches a boundary-free open value interval (gLo, gHi): while
-	// guardOK holds, the treap provably has no key value inside it, so a
-	// move contained in it cannot touch any class and skips the boundary
-	// walk entirely — the steady-state cost of a standing query that the
-	// update doesn't concern is two float compares, not a treap descent.
-	// Any treap mutation drops the guard; the next walk recomputes it.
+	// guardOK holds, the boundary set provably has no key value inside it,
+	// so a move contained in it cannot touch any class and skips the
+	// boundary walk entirely — the steady-state cost of a standing query
+	// that the update doesn't concern is two float compares, not a binary
+	// search. Any boundary mutation drops the guard; the next walk
+	// recomputes it.
 	gLo, gHi float64
 	guardOK  bool
 
@@ -133,9 +147,8 @@ type qstream struct {
 // deliver scratch.
 type queryIndex struct {
 	streams []qstream
-	keys    []ostree.Key // boundary walk scratch
-	touched []int32      // candidate class ids scratch
-	gen     uint64       // deliver generation for class dedupe
+	touched []int32 // candidate class ids scratch
+	gen     uint64  // deliver generation for class dedupe
 }
 
 func newQueryIndex(n int) *queryIndex {
@@ -147,9 +160,41 @@ func newQueryIndex(n int) *queryIndex {
 func (x *queryIndex) addSlot(c *Composite) {
 	qi := len(c.queries) - 1
 	for s := range x.streams {
-		x.streams[s].classOf = append(x.streams[s].classOf, catNone)
+		st := &x.streams[s]
+		st.appendSlot()
+		st.reserve()
 		x.set(c, s, qi, filter.NoFilter(), true)
 	}
+	x.touched = grow(x.touched, 3*len(c.queries))
+}
+
+// appendSlot appends one uncategorized query slot to the stream's slot rows.
+func (st *qstream) appendSlot() {
+	st.classOf = append(st.classOf, catNone)
+	st.next = append(st.next, -1)
+	st.prev = append(st.prev, -1)
+}
+
+// reserve grows the stream's other arrays to what its slot count can ever
+// need: each live class holds at least one slot (so there are never more
+// class ids than slots, live or free), each class puts at most two keys in
+// the boundary set, and the armed list holds each class at most once. No
+// Deliver can then grow them. The deliver scratch (touched: boundary hits
+// plus armed classes) is sized from the same bound by addSlot and rebuild.
+func (st *qstream) reserve() {
+	slots := len(st.classOf)
+	st.bounds.keys = grow(st.bounds.keys, 2*slots)
+	st.classes = grow(st.classes, slots)
+	st.freeCls = grow(st.freeCls, slots)
+	st.armed = grow(st.armed, slots)
+}
+
+// grow returns s with capacity for at least n elements.
+func grow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s
 }
 
 // removeSlot drops query slot qi from every stream (RemoveQuery already
@@ -168,16 +213,16 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 	st := &x.streams[s]
 	// Reinstalling what is already categorized — a maintenance round
 	// refreshing a query's standing constraint — must not churn the class
-	// or its treap boundaries (churn drops the stream's walk-skipping
+	// or its boundaries (churn drops the stream's walk-skipping
 	// guard). Sides are compared against a member other than qi itself,
 	// since the install may have just rewritten qi's recorded side.
 	if cid := st.classOf[qi]; cid >= 0 && live && sameConstraint(st.classes[cid].cons, cons) {
 		cl := &st.classes[cid]
-		ok := cons.Kind == filter.Band || len(cl.slots) == 1
+		ok := cons.Kind == filter.Band || cl.size == 1
 		if !ok {
-			ref := cl.slots[0]
+			ref := cl.head
 			if ref == int32(qi) {
-				ref = cl.slots[1]
+				ref = st.next[ref]
 			}
 			ok = c.inside[s][ref] == c.inside[s][qi]
 		}
@@ -203,25 +248,44 @@ func (x *queryIndex) set(c *Composite, s, qi int, cons filter.Constraint, live b
 		// Can never cross; recordInside keeps its side correct for free.
 	default:
 		cid := x.classFor(c, st, s, cons, c.inside[s][qi])
-		st.classes[cid].slots = append(st.classes[cid].slots, int32(qi))
+		st.link(cid, int32(qi))
 		st.classOf[qi] = cid
 	}
 }
 
 // detach removes slot qi from class cid, freeing the class when it empties.
 func (x *queryIndex) detach(st *qstream, cid, qi int32) {
-	cl := &st.classes[cid]
-	for i, sl := range cl.slots {
-		if sl == qi {
-			cl.slots[i] = cl.slots[len(cl.slots)-1]
-			cl.slots = cl.slots[:len(cl.slots)-1]
-			break
-		}
-	}
-	if len(cl.slots) == 0 {
+	st.unlink(cid, qi)
+	if cl := &st.classes[cid]; cl.size == 0 {
 		st.removeBounds(cid, cl.cons)
 		st.freeClass(cid)
 	}
+}
+
+// link makes slot qi the first member of class cid.
+func (st *qstream) link(cid, qi int32) {
+	cl := &st.classes[cid]
+	st.next[qi], st.prev[qi] = cl.head, -1
+	if cl.head >= 0 {
+		st.prev[cl.head] = qi
+	}
+	cl.head = qi
+	cl.size++
+}
+
+// unlink removes member slot qi from class cid's list.
+func (st *qstream) unlink(cid, qi int32) {
+	cl := &st.classes[cid]
+	nx, pv := st.next[qi], st.prev[qi]
+	if pv >= 0 {
+		st.next[pv] = nx
+	} else {
+		cl.head = nx
+	}
+	if nx >= 0 {
+		st.prev[nx] = pv
+	}
+	cl.size--
 }
 
 // freeClass retires an already-detached, bounds-free class for reuse.
@@ -250,14 +314,14 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 		}
 		cl := &st.classes[cid]
 		if cl.live && sameConstraint(cl.cons, cons) &&
-			(cons.Kind == filter.Band || c.inside[s][cl.slots[0]] == ins) {
+			(cons.Kind == filter.Band || c.inside[s][cl.head] == ins) {
 			return cid
 		}
 	}
 	for cid := range st.classes {
 		cl := &st.classes[cid]
 		if cl.live && sameConstraint(cl.cons, cons) &&
-			(cons.Kind == filter.Band || c.inside[s][cl.slots[0]] == ins) {
+			(cons.Kind == filter.Band || c.inside[s][cl.head] == ins) {
 			st.recent[st.recentN&7] = int32(cid)
 			st.recentN++
 			return int32(cid)
@@ -274,7 +338,7 @@ func (x *queryIndex) classFor(c *Composite, st *qstream, s int, cons filter.Cons
 	cl := &st.classes[cid]
 	cl.cons = cons
 	cl.live = true
-	cl.slots = cl.slots[:0]
+	cl.head, cl.size = -1, 0
 	// A class born inside a Deliver (a band fire created it) has already
 	// been accounted for this update; stamping it now prevents a recycled
 	// class id from being evaluated twice in one walk.
@@ -322,7 +386,8 @@ func structuralBand(cons filter.Constraint) bool {
 		math.IsInf(lo, 1) || math.IsInf(hi, -1)
 }
 
-// addBounds inserts class cid's finite region boundaries into the treap.
+// addBounds inserts class cid's finite region boundaries into the stream's
+// boundary set.
 // Non-finite boundaries are unindexable: an infinite interval end can never
 // be crossed into (half-open intervals transition only over their finite
 // bound) and degenerate bands are structurally armed instead.
@@ -333,10 +398,10 @@ func (st *qstream) addBounds(cid int32, cons filter.Constraint) {
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.Insert(ostree.Key{V: lo, ID: int(cid) * 2})
+		st.bounds.insert(boundKey{V: lo, ID: cid * 2})
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.Insert(ostree.Key{V: hi, ID: int(cid)*2 + 1})
+		st.bounds.insert(boundKey{V: hi, ID: cid*2 + 1})
 	}
 }
 
@@ -348,10 +413,10 @@ func (st *qstream) removeBounds(cid int32, cons filter.Constraint) {
 		return
 	}
 	if !math.IsNaN(lo) && !math.IsInf(lo, 0) {
-		st.bounds.Delete(ostree.Key{V: lo, ID: int(cid) * 2})
+		st.bounds.delete(boundKey{V: lo, ID: cid * 2})
 	}
 	if !math.IsNaN(hi) && !math.IsInf(hi, 0) {
-		st.bounds.Delete(ostree.Key{V: hi, ID: int(cid)*2 + 1})
+		st.bounds.delete(boundKey{V: hi, ID: cid*2 + 1})
 	}
 }
 
@@ -391,14 +456,14 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) bool {
 	}
 	x.gen++
 	crossed := st.always > 0
-	x.keys = x.keys[:0]
-	if !inGuard {
-		x.keys = st.bounds.AppendRange(
-			ostree.Key{V: lo, ID: minInt}, ostree.Key{V: hi, ID: maxInt}, x.keys[:0])
-	}
+	// The candidate list is a copy, in ascending boundary order: class
+	// evaluation below may insert and delete boundaries (band
+	// re-centering), which shifts the boundary slice under any live view.
 	touched := x.touched[:0]
-	for _, k := range x.keys {
-		touched = append(touched, int32(k.ID>>1))
+	if !inGuard {
+		for _, k := range st.bounds.window(lo, hi) {
+			touched = append(touched, k.ID>>1)
+		}
 	}
 	touched = append(touched, st.armed...)
 	x.touched = touched
@@ -415,9 +480,9 @@ func (x *queryIndex) deliver(c *Composite, s int, u, v float64) bool {
 	if !inGuard {
 		// Re-center the guard on where the value landed. Class evaluation
 		// above may have moved boundaries (band re-centering), so this runs
-		// after it; BracketValue refuses a guard when a boundary sits
-		// exactly at v (exact), since no open interval can contain v then.
-		gLo, gHi, exact := st.bounds.BracketValue(v)
+		// after it; bracket refuses a guard when a boundary sits exactly
+		// at v (exact), since no open interval can contain v then.
+		gLo, gHi, exact := st.bounds.bracket(v)
 		st.gLo, st.gHi, st.guardOK = gLo, gHi, !exact
 	}
 	return crossed
@@ -437,7 +502,7 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 		}
 		nc := filter.NewBand(v, cl.cons.BandHalfWidth())
 		row, ins := c.cons[s], c.inside[s]
-		for _, sl := range cl.slots {
+		for sl := cl.head; sl >= 0; sl = st.next[sl] {
 			row[sl] = nc
 			ins[sl] = true
 		}
@@ -450,11 +515,11 @@ func (x *queryIndex) evalClass(c *Composite, st *qstream, s int, cid int32, v fl
 		st.disarm(cid)
 		cl.armed = false
 	}
-	if now == c.inside[s][cl.slots[0]] {
+	if now == c.inside[s][cl.head] {
 		return false
 	}
 	ins := c.inside[s]
-	for _, sl := range cl.slots {
+	for sl := cl.head; sl >= 0; sl = st.next[sl] {
 		ins[sl] = now
 	}
 	return true
@@ -472,11 +537,13 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 		if int32(tid) == cid || !tgt.live || !sameConstraint(tgt.cons, nc) {
 			continue
 		}
-		tgt.slots = append(tgt.slots, cl.slots...)
-		for _, sl := range cl.slots {
+		for sl := cl.head; sl >= 0; {
+			nx := st.next[sl]
+			st.link(int32(tid), sl)
 			st.classOf[sl] = int32(tid)
+			sl = nx
 		}
-		cl.slots = cl.slots[:0]
+		cl.head, cl.size = -1, 0
 		st.freeClass(cid)
 		return
 	}
@@ -499,7 +566,7 @@ func (x *queryIndex) rekeyBand(st *qstream, cid int32, nc filter.Constraint, v f
 // index's back).
 func (x *queryIndex) rebuildStream(c *Composite, s int) {
 	st := &x.streams[s]
-	st.bounds.Clear()
+	st.bounds.keys = st.bounds.keys[:0]
 	st.guardOK = false
 	st.classes = st.classes[:0]
 	st.freeCls = st.freeCls[:0]
@@ -523,15 +590,118 @@ func (x *queryIndex) rebuildStream(c *Composite, s int) {
 func (x *queryIndex) rebuild(c *Composite) {
 	for s := range x.streams {
 		st := &x.streams[s]
-		st.classOf = st.classOf[:0]
+		st.classOf, st.next, st.prev = st.classOf[:0], st.next[:0], st.prev[:0]
 		for range c.queries {
-			st.classOf = append(st.classOf, catNone)
+			st.appendSlot()
 		}
+		st.reserve()
 		x.rebuildStream(c, s)
 	}
+	x.touched = grow(x.touched, 3*len(c.queries))
 }
 
-const (
-	maxInt = int(^uint(0) >> 1)
-	minInt = -maxInt - 1
-)
+// boundKey is one class boundary of a stream: the boundary value and the
+// class-boundary id (2·class id for the region's lower end, 2·class id + 1
+// for its upper end). Keys order by value, then id; values are never NaN.
+type boundKey struct {
+	V  float64
+	ID int32
+}
+
+func (k boundKey) less(o boundKey) bool {
+	if k.V != o.V {
+		return k.V < o.V
+	}
+	return k.ID < o.ID
+}
+
+// boundSet is one stream's class boundaries as a strictly ascending slice.
+// Insert and delete are a binary search plus a copy; there is no node
+// recycling — the slice's capacity is the reuse, so once a stream's
+// boundary count has peaked the set never allocates again. Stored ids are
+// class-boundary ids, never math.MinInt32 or math.MaxInt32, which the
+// value-window searches use as sentinels.
+type boundSet struct {
+	keys []boundKey
+}
+
+// search returns the index of the first key not less than k.
+func (b *boundSet) search(k boundKey) int {
+	lo, hi := 0, len(b.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.keys[m].less(k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// insert adds k, reporting false (and changing nothing) when it is already
+// present. A NaN value admits no ordering and would corrupt the set, so
+// insert panics on one; callers only ever insert finite boundaries.
+func (b *boundSet) insert(k boundKey) bool {
+	if math.IsNaN(k.V) {
+		panic("server: NaN boundary key")
+	}
+	i := b.search(k)
+	if i < len(b.keys) && b.keys[i] == k {
+		return false
+	}
+	b.keys = append(b.keys, boundKey{})
+	copy(b.keys[i+1:], b.keys[i:])
+	b.keys[i] = k
+	return true
+}
+
+// delete removes k, reporting false when it is absent (always, for NaN).
+func (b *boundSet) delete(k boundKey) bool {
+	if math.IsNaN(k.V) {
+		return false
+	}
+	i := b.search(k)
+	if i == len(b.keys) || b.keys[i] != k {
+		return false
+	}
+	b.keys = append(b.keys[:i], b.keys[i+1:]...)
+	return true
+}
+
+// window returns the keys with lo <= value <= hi, ascending, as a view of
+// the set: it is invalidated by the next insert or delete. NaN or inverted
+// bounds match nothing.
+func (b *boundSet) window(lo, hi float64) []boundKey {
+	if math.IsNaN(lo) || math.IsNaN(hi) || hi < lo {
+		return nil
+	}
+	i := b.search(boundKey{V: lo, ID: math.MinInt32})
+	j := b.search(boundKey{V: hi, ID: math.MaxInt32})
+	return b.keys[i:j]
+}
+
+// bracket returns the widest open interval (lo, hi) around v that holds no
+// key value: lo is the largest key value below v (−Inf when none) and hi
+// the smallest above (+Inf when none), read off the neighbours of v's
+// search position. exact reports that some key's value equals v — the open
+// interval excludes it, so a caller caching (lo, hi) as a "no boundaries
+// here" certificate must treat exact as a refusal. A NaN v admits no
+// ordering and reports exact.
+func (b *boundSet) bracket(v float64) (lo, hi float64, exact bool) {
+	lo, hi = math.Inf(-1), math.Inf(1)
+	if math.IsNaN(v) {
+		return lo, hi, true
+	}
+	i := b.search(boundKey{V: v, ID: math.MinInt32})
+	if i > 0 {
+		lo = b.keys[i-1].V
+	}
+	if i < len(b.keys) {
+		if b.keys[i].V == v {
+			return lo, hi, true
+		}
+		hi = b.keys[i].V
+	}
+	return lo, hi, false
+}
